@@ -36,8 +36,10 @@ test: vet-docs lint
 	go test -race ./internal/obs/... ./internal/serve/... ./internal/dist/...
 
 # Race-detector pass over the whole module (quality gate, DESIGN.md §6).
+# internal/experiment trains whole grids and needs about 11 minutes under
+# -race on a two-core host, past go test's 10-minute default.
 test-race:
-	go test -race ./...
+	go test -race -timeout 30m ./...
 
 # Fault-tolerance suite: the chaos harness plus every test that injects
 # faults through it, under the race detector (recovery and retry paths

@@ -6,73 +6,10 @@ import (
 	"tdfm/internal/xrand"
 )
 
-// refMatMul is the unblocked i-k-j reference kernel the cache-blocked
-// MatMul must match bit for bit (same ascending-p accumulation per
-// element, same skip on zero left operands).
-func refMatMul(t, u *Tensor) *Tensor {
-	m, k, n := t.Dim(0), t.Dim(1), u.Dim(1)
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		ti := t.data[i*k : (i+1)*k]
-		oi := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			a := ti[p]
-			if a == 0 {
-				continue
-			}
-			up := u.data[p*n : (p+1)*n]
-			for j, b := range up {
-				oi[j] += a * b
-			}
-		}
-	}
-	return out
-}
-
 func randTensor(rng *xrand.RNG, shape ...int) *Tensor {
 	t := New(shape...)
 	rng.FillNormal(t.Data(), 0, 1)
 	return t
-}
-
-// TestMatMulBlockedBitIdentical exercises shapes that straddle the tile
-// boundaries (inner dimension and width above, below, and exactly at
-// blockK/blockN) at several worker counts; every product must be
-// bit-identical to the serial unblocked reference.
-func TestMatMulBlockedBitIdentical(t *testing.T) {
-	defer SetParallelism(0)
-	rng := xrand.New(7)
-	shapes := [][3]int{
-		{1, 1, 1},
-		{3, 5, 2},
-		{17, blockK - 1, blockN - 1},
-		{17, blockK, blockN},
-		{17, blockK + 1, blockN + 1},
-		{64, 2*blockK + 3, 2*blockN + 5},
-		{2, 300, 40},
-		{200, 7, 300},
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := randTensor(rng.Split("a"), m, k)
-		// Plant exact zeros so the skip-zero fast path is exercised.
-		a.Data()[0] = 0
-		b := randTensor(rng.Split("b"), k, n)
-		want := refMatMul(a, b)
-		for _, workers := range []int{1, 2, 4} {
-			SetParallelism(workers)
-			got := a.MatMul(b)
-			if !got.SameShape(want) {
-				t.Fatalf("[%d,%d]x[%d,%d] @%dw: shape %v", m, k, k, n, workers, got.Shape())
-			}
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("[%d,%d]x[%d,%d] @%dw: element %d = %v, want %v (not bit-identical)",
-						m, k, k, n, workers, i, v, want.Data()[i])
-				}
-			}
-		}
-	}
 }
 
 // TestMatMulRowsIndependentOfBatch checks the batching contract directly:
@@ -82,8 +19,8 @@ func TestMatMulRowsIndependentOfBatch(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(4)
 	rng := xrand.New(11)
-	a := randTensor(rng.Split("a"), 37, 2*blockK+9)
-	b := randTensor(rng.Split("b"), 2*blockK+9, blockN+33)
+	a := randTensor(rng.Split("a"), 37, 137)
+	b := randTensor(rng.Split("b"), 137, 289)
 	full := a.MatMul(b)
 	for _, bs := range []int{1, 3, 17, 37} {
 		for lo := 0; lo < a.Dim(0); lo += bs {

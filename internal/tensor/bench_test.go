@@ -1,11 +1,12 @@
 package tensor
 
-// Benchmarks for the batch-first conv path: one Im2Col + one cache-blocked
-// MatMul over a whole [N, C, H, W] batch versus the same work issued one
-// example at a time. The gated TestEmitTensorBenchJSON runs them through
-// testing.Benchmark and writes the measured trajectory to the path in
-// TDFM_BENCH_OUT (the committed BENCH_tensor.json baseline; see `make
-// bench-serve`). TDFM_BENCH_SHORT=1 trims the batch list for CI.
+// Benchmarks for the batch-first conv path: one Im2Col + one MatMul over
+// a whole [N, C, H, W] batch versus the same work issued one example at a
+// time, plus each matrix product of two study conv layers on its own. The
+// gated TestEmitTensorBenchJSON runs them through testing.Benchmark and
+// writes the measured trajectory to the path in TDFM_BENCH_OUT (the
+// committed BENCH_tensor.json baseline; see `make bench-serve`).
+// TDFM_BENCH_SHORT=1 trims the batch list for CI.
 
 import (
 	"encoding/json"
@@ -28,6 +29,10 @@ const (
 	convBenchOutC = 32
 )
 
+// convBenchFlops is the GEMM work of one benchmark image: a multiply and
+// an add per term of its [HW·HW, C·KH·KW] × [C·KH·KW, OutC] product.
+const convBenchFlops = 2 * convBenchHW * convBenchHW * convBenchC * 3 * 3 * convBenchOutC
+
 // convBenchInput builds a deterministic [n, C, H, W] batch and the conv
 // weight matrix shaped for Im2Col output.
 func convBenchInput(n int) (*Tensor, *Tensor) {
@@ -44,7 +49,7 @@ func convBenchInput(n int) (*Tensor, *Tensor) {
 }
 
 // convBatched is one batched conv: a single Im2Col over all n images and
-// one blocked MatMul.
+// one MatMul.
 func convBatched(x, w *Tensor) *Tensor {
 	return Im2Col(x, convBenchGeom).MatMul(w)
 }
@@ -105,6 +110,70 @@ func BenchmarkConvIm2ColMatMul(b *testing.B) {
 	for _, n := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("per-example/n=%d", n), func(b *testing.B) { benchConv(b, n, false) })
 		b.Run(fmt.Sprintf("batched/n=%d", n), func(b *testing.B) { benchConv(b, n, true) })
+	}
+}
+
+// gemmBenchLayer is a study conv layer at batch 32, as the shape of its
+// im2col product: m output positions, k = C·KH·KW, n output channels.
+type gemmBenchLayer struct {
+	name    string
+	m, k, n int
+}
+
+// gemmBenchLayers are the layers the per-product rows measure: convnet's
+// first conv (3→8 channels on 12×12 inputs) and a late vgg16 conv (32→32
+// channels on 3×3 maps).
+var gemmBenchLayers = []gemmBenchLayer{
+	{"convnet", 4608, 27, 8},
+	{"vgg16", 288, 288, 32},
+}
+
+// gemmProducts names the three products of one conv layer: the forward
+// cols × W, the weight gradient colsᵀ × dY, and the column gradient
+// dY × Wᵀ.
+var gemmProducts = []string{"forward", "transA", "transB"}
+
+// flops is the floating-point operation count of any of the layer's
+// products: one multiply and one add per term.
+func (l gemmBenchLayer) flops() float64 { return 2 * float64(l.m*l.k*l.n) }
+
+// benchGemm times one product of layer l on one worker, with a fresh
+// zero-filled destination per iteration as the layers run it.
+func benchGemm(b *testing.B, l gemmBenchLayer, product string) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(1)
+	rng := xrand.New(17).Split("bench-gemm")
+	cols := randTensor(rng.Split("cols"), l.m, l.k)
+	w := randTensor(rng.Split("w"), l.k, l.n)
+	dy := randTensor(rng.Split("dy"), l.m, l.n)
+	var run func()
+	switch product {
+	case "forward":
+		dst := New(l.m, l.n)
+		run = func() { dst.Zero(); cols.MatMulInto(dst, w) }
+	case "transA":
+		dst := New(l.k, l.n)
+		run = func() { dst.Zero(); cols.MatMulTransAInto(dst, dy) }
+	case "transB":
+		dst := New(l.m, l.k)
+		run = func() { dy.MatMulTransBInto(dst, w) }
+	default:
+		b.Fatalf("unknown product %q", product)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(l.flops()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkGemm measures each product of each study layer.
+func BenchmarkGemm(b *testing.B) {
+	for _, l := range gemmBenchLayers {
+		for _, product := range gemmProducts {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", l.name, l.m, l.k, l.n, product),
+				func(b *testing.B) { benchGemm(b, l, product) })
+		}
 	}
 }
 
@@ -173,6 +242,10 @@ type benchRecord struct {
 	Rows       int     `json:"rows"`
 	NsPerRow   float64 `json:"ns_per_row"`
 	RowsPerSec float64 `json:"rows_per_sec"`
+	// GFLOPS is the record's GEMM arithmetic per second: 2·m·k·n per
+	// product. For conv rows the time also covers Im2Col, so it reads as
+	// the conv's effective rate.
+	GFLOPS float64 `json:"gflops,omitempty"`
 	// Memory columns, filled only by measureAlloc (per benchmark op, not
 	// per row, mirroring -benchmem).
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
@@ -277,10 +350,23 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 			func(b *testing.B) { benchConv(b, n, false) })
 		batched := measureRows(fmt.Sprintf("conv/batched/n=%d", n), n,
 			func(b *testing.B) { benchConv(b, n, true) })
+		single.GFLOPS = convBenchFlops / single.NsPerRow
+		batched.GFLOPS = convBenchFlops / batched.NsPerRow
 		f.Benchmarks = append(f.Benchmarks, single, batched)
 		perRow[single.Name], perRow[batched.Name] = single.NsPerRow, batched.NsPerRow
 		f.Speedups[fmt.Sprintf("batched_vs_per_example_n%d", n)] =
 			single.NsPerRow / batched.NsPerRow
+	}
+
+	// Per-product rows: the forward and both backward products of two
+	// study conv layers, each on one worker.
+	for _, l := range gemmBenchLayers {
+		for _, product := range gemmProducts {
+			r := measureRows(fmt.Sprintf("gemm/%s/%dx%dx%d/%s", l.name, l.m, l.k, l.n, product), 1,
+				func(b *testing.B) { benchGemm(b, l, product) })
+			r.GFLOPS = l.flops() / r.NsPerRow
+			f.Benchmarks = append(f.Benchmarks, r)
+		}
 	}
 
 	// Memory rows: pool on/off through the same code path, then f64
@@ -294,6 +380,9 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 		func(b *testing.B) { benchConvPrecision(b, allocN, false) })
 	f32c := measureAlloc(fmt.Sprintf("conv/f32/n=%d", allocN), allocN,
 		func(b *testing.B) { benchConvPrecision(b, allocN, true) })
+	for _, r := range []*benchRecord{&pooled, &unpooled, &f64c, &f32c} {
+		r.GFLOPS = convBenchFlops / r.NsPerRow
+	}
 	f.Benchmarks = append(f.Benchmarks, pooled, unpooled, f64c, f32c)
 	f.Speedups[fmt.Sprintf("conv_allocs_unpooled_vs_pooled_n%d", allocN)] =
 		ratio(unpooled.AllocsPerOp, pooled.AllocsPerOp)

@@ -107,9 +107,9 @@ func (f *F32) AddRowVectorIn(v *F32) *F32 {
 }
 
 // MatMulInto computes f × u into dst, a zero-filled [m,n] float32 tensor,
-// and returns dst. Same cache-blocked kernel and determinism contract as
-// Tensor.MatMul, instantiated at float32. It panics on non-2-D operands or
-// any dimension mismatch.
+// and returns dst. Same register-blocked kernel, determinism contract and
+// non-finite rule as Tensor.MatMul, instantiated at float32. It panics on
+// non-2-D operands or any dimension mismatch.
 func (f *F32) MatMulInto(dst, u *F32) *F32 {
 	if len(f.shape) != 2 || len(u.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-d operands, got %v and %v", f.shape, u.shape))

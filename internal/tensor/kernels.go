@@ -3,12 +3,36 @@ package tensor
 import "tdfm/internal/parallel"
 
 // Generic compute kernels shared by the float64 tensor type and the F32
-// inference storage variant. Each kernel is an exact structural copy of
-// the original float64 loop — same cache blocking, same zero-skip, same
-// ascending-index accumulation order, same sharding over disjoint
-// output regions — so instantiating at float64 reproduces the historical
-// results bit for bit at any worker count, and the float32 instantiation
-// inherits the same determinism guarantees at its own precision.
+// inference storage variant. Every kernel shards over disjoint output
+// regions and keeps each output element's arithmetic inside one shard, so
+// results are bit-identical at any worker count and batch size; the
+// float32 instantiation inherits the same guarantee at its own precision.
+//
+// The three matrix products (gemm, gemmTransA, gemmTransB) run on
+// register-blocked micro-kernels. A block of 3 output rows × 2 output
+// columns keeps its six accumulators in locals across the whole inner
+// dimension, so each step loads 3 left and 2 right operands for 6
+// multiply-adds instead of loading and storing an output element per
+// term. Six is the most accumulators the compiler keeps in registers: it
+// schedules a step's multiplies ahead of its adds, so a block needs a
+// register per accumulator and per pending product. Six of each plus the
+// three left operands fit in the 15 vector registers Go code may use on
+// amd64; a 2×4 block's eight of each do not, and it spills every step.
+// The micro-kernels are separate functions because the compiler
+// allocates registers for a small loop far better than for the same loop
+// nested in a driver. Rows left over at the end of a window run through
+// the same block with the missing rows aliased to the window's last row:
+// the copies compute identical values and store them more than once. An
+// odd last column falls to a scalar loop. Whichever path computes an
+// element, it accumulates its terms one at a time in ascending p, the
+// order of the textbook triple loop.
+//
+// Non-finite rule: the products have no zero-skip branch, so a zero in
+// one operand times an infinity or NaN in the other contributes a NaN
+// (0·Inf → NaN) in all three products alike. For finite operands the
+// missing branch changes no bit: an accumulator starts at +0 (the
+// zero-filled destination), a round-to-nearest sum that starts at +0
+// never becomes −0, and adding ±0 leaves any other value unchanged.
 //
 // Every kernel's shard body lives in a named ...Range function and the
 // kernel branches on parWorkers before building the shard closure: the
@@ -25,59 +49,76 @@ type element interface {
 	~float32 | ~float64
 }
 
-// gemmRange applies the gemm row window [lo, hi).
-func gemmRange[E element](dst, a, b []E, k, n, lo, hi int) {
-	if k <= blockK && n <= blockN {
-		// Small operands: the i-k-j loop order keeps the innermost
-		// accesses sequential in both the output row and the right
-		// operand row, which matters on tiny caches.
-		for i := lo; i < hi; i++ {
-			ti := a[i*k : (i+1)*k]
-			oi := dst[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := ti[p]
-				if av == 0 {
-					continue
-				}
-				up := b[p*n : (p+1)*n]
-				for j, bv := range up {
-					oi[j] += av * bv
-				}
-			}
-		}
-		return
+// rowTriple returns the rows of the block that starts at row i of a
+// window ending at hi: i, i+1 and i+2, with rows past the window replaced
+// by its last row.
+func rowTriple(i, hi int) (int, int, int) {
+	return i, min(i+1, hi-1), min(i+2, hi-1)
+}
+
+// dotTriple returns c0, c1 and c2 plus Σs x[o+s·xs]·y[yo+s·ys] over steps
+// terms in ascending s, for o = o0, o1 and o2: a block's three output
+// elements in an odd last column.
+func dotTriple[E element](c0, c1, c2 E, x []E, o0, o1, o2, xs int, y []E, yo, ys, steps int) (E, E, E) {
+	for ; steps > 0; steps-- {
+		v := y[yo]
+		c0 += x[o0] * v
+		c1 += x[o1] * v
+		c2 += x[o2] * v
+		o0 += xs
+		o1 += xs
+		o2 += xs
+		yo += ys
 	}
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
+	return c0, c1, c2
+}
+
+// gemmBlock accumulates rows a0, a1 and a2 times the 2-column strip of b
+// that starts at b[0] (row stride n) into c0[:2], c1[:2] and c2[:2].
+func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
+	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
+	a1, a2 = a1[:len(a0)], a2[:len(a0)]
+	c00, c01 := c0[0], c0[1]
+	c10, c11 := c1[0], c1[1]
+	c20, c21 := c2[0], c2[1]
+	off := 0
+	for p, x0 := range a0 {
+		x1, x2 := a1[p], a2[p]
+		y := b[off : off+2 : off+2]
+		v := y[0]
+		c00 += x0 * v
+		c10 += x1 * v
+		c20 += x2 * v
+		v = y[1]
+		c01 += x0 * v
+		c11 += x1 * v
+		c21 += x2 * v
+		off += n
+	}
+	c0[0], c0[1] = c00, c01
+	c1[0], c1[1] = c10, c11
+	c2[0], c2[1] = c20, c21
+}
+
+// gemmRange applies the gemm row window [lo, hi): dst[i,j] += Σp
+// a[i,p]·b[p,j].
+func gemmRange[E element](dst, a, b []E, k, n, lo, hi int) {
+	for i := lo; i < hi; i += 3 {
+		r0, r1, r2 := rowTriple(i, hi)
+		a0, a1, a2 := a[r0*k:(r0+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k]
+		d0, d1, d2 := dst[r0*n:(r0+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			gemmBlock(d0[j:], d1[j:], d2[j:], a0, a1, a2, b[j:], n)
 		}
-		for j0 := 0; j0 < n; j0 += blockN {
-			j1 := j0 + blockN
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				ti := a[i*k : (i+1)*k]
-				oi := dst[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := ti[p]
-					if av == 0 {
-						continue
-					}
-					up := b[p*n+j0 : p*n+j1]
-					for j, bv := range up {
-						oi[j] += av * bv
-					}
-				}
-			}
+		if j < n {
+			d0[j], d1[j], d2[j] = dotTriple(d0[j], d1[j], d2[j], a, r0*k, r1*k, r2*k, 1, b, j, n, k)
 		}
 	}
 }
 
 // gemm computes dst += a × b for row-major a [m,k], b [k,n], dst [m,n],
-// cache-blocked and sharded over output rows. dst must be zero-filled for
-// a plain product.
+// sharded over output rows. dst must be zero-filled for a plain product.
 func gemm[E element](dst, a, b []E, m, k, n int) {
 	if w := parWorkers(m * k * n); w >= 2 {
 		parallel.For(m, w, func(lo, hi int) { gemmRange(dst, a, b, k, n, lo, hi) })
@@ -86,18 +127,57 @@ func gemm[E element](dst, a, b []E, m, k, n int) {
 	gemmRange(dst, a, b, k, n, 0, m)
 }
 
-// gemmTransARange applies the gemmTransA column window [jlo, jhi).
+// transAChunk is how many inner-dimension steps gemmTransA applies to
+// every output block before moving on to the next chunk. Both operands
+// are walked down their columns, so without chunking each block would
+// stream the full height of a and b; a chunk of rows stays in cache while
+// every block of the shard consumes it. Accumulators are stored and
+// reloaded between chunks, which is exact, so each element still sums in
+// ascending p.
+const transAChunk = 256
+
+// transABlock accumulates steps terms of columns a[ao], a[ao+o1] and
+// a[ao+o2] (row stride m) times the 2-column strip of b that starts at
+// b[bo] (row stride n) into c0[:2], c1[:2] and c2[:2].
+func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, steps int) {
+	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
+	c00, c01 := c0[0], c0[1]
+	c10, c11 := c1[0], c1[1]
+	c20, c21 := c2[0], c2[1]
+	for ; steps > 0; steps-- {
+		x0, x1, x2 := a[ao], a[ao+o1], a[ao+o2]
+		y := b[bo : bo+2 : bo+2]
+		v := y[0]
+		c00 += x0 * v
+		c10 += x1 * v
+		c20 += x2 * v
+		v = y[1]
+		c01 += x0 * v
+		c11 += x1 * v
+		c21 += x2 * v
+		ao += m
+		bo += n
+	}
+	c0[0], c0[1] = c00, c01
+	c1[0], c1[1] = c10, c11
+	c2[0], c2[1] = c20, c21
+}
+
+// gemmTransARange applies the gemmTransA column window [jlo, jhi):
+// dst[i,j] += Σp a[p,i]·b[p,j].
 func gemmTransARange[E element](dst, a, b []E, k, m, n, jlo, jhi int) {
-	for p := 0; p < k; p++ {
-		tp := a[p*m : (p+1)*m]
-		up := b[p*n+jlo : p*n+jhi]
-		for i, av := range tp {
-			if av == 0 {
-				continue
+	for p0 := 0; p0 < k; p0 += transAChunk {
+		steps := min(transAChunk, k-p0)
+		for i := 0; i < m; i += 3 {
+			r0, r1, r2 := rowTriple(i, m)
+			d0, d1, d2 := dst[r0*n:(r0+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n]
+			ao := p0*m + r0
+			j := jlo
+			for ; j+2 <= jhi; j += 2 {
+				transABlock(d0[j:], d1[j:], d2[j:], a, ao, r1-r0, r2-r0, m, b, p0*n+j, n, steps)
 			}
-			oi := dst[i*n+jlo : i*n+jhi]
-			for j, bv := range up {
-				oi[j] += av * bv
+			if j < jhi {
+				d0[j], d1[j], d2[j] = dotTriple(d0[j], d1[j], d2[j], a, ao, ao+r1-r0, ao+r2-r0, m, b, p0*n+j, n, steps)
 			}
 		}
 	}
@@ -115,18 +195,42 @@ func gemmTransA[E element](dst, a, b []E, k, m, n int) {
 	gemmTransARange(dst, a, b, k, m, n, 0, n)
 }
 
-// gemmTransBRange applies the gemmTransB row window [lo, hi).
+// transBBlock overwrites c0[:2], c1[:2] and c2[:2] with the dot products
+// of rows a0, a1 and a2 with rows b0 and b1.
+func transBBlock[E element](c0, c1, c2, a0, a1, a2, b0, b1 []E) {
+	k := len(a0)
+	a1, a2, b0, b1 = a1[:k], a2[:k], b0[:k], b1[:k]
+	var c00, c01, c10, c11, c20, c21 E
+	for p, x0 := range a0 {
+		x1, x2 := a1[p], a2[p]
+		v := b0[p]
+		c00 += x0 * v
+		c10 += x1 * v
+		c20 += x2 * v
+		v = b1[p]
+		c01 += x0 * v
+		c11 += x1 * v
+		c21 += x2 * v
+	}
+	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
+	c0[0], c0[1] = c00, c01
+	c1[0], c1[1] = c10, c11
+	c2[0], c2[1] = c20, c21
+}
+
+// gemmTransBRange applies the gemmTransB row window [lo, hi): dst[i,j] =
+// Σp a[i,p]·b[j,p], a dot product of two contiguous rows per element.
 func gemmTransBRange[E element](dst, a, b []E, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ti := a[i*k : (i+1)*k]
-		oi := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			uj := b[j*k : (j+1)*k]
-			var s E
-			for p, av := range ti {
-				s += av * uj[p]
-			}
-			oi[j] = s
+	for i := lo; i < hi; i += 3 {
+		r0, r1, r2 := rowTriple(i, hi)
+		a0, a1, a2 := a[r0*k:(r0+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k]
+		d0, d1, d2 := dst[r0*n:(r0+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			transBBlock(d0[j:], d1[j:], d2[j:], a0, a1, a2, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k])
+		}
+		if j < n {
+			d0[j], d1[j], d2[j] = dotTriple(0, 0, 0, a, r0*k, r1*k, r2*k, 1, b, j*k, 1, k)
 		}
 	}
 }

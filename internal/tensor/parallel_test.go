@@ -28,7 +28,7 @@ func randMatStd(rng *rand.Rand, rows, cols int) *Tensor {
 	for i := range d {
 		d[i] = rng.NormFloat64()
 		if rng.Intn(8) == 0 {
-			d[i] = 0 // exercise the skip-zero fast path
+			d[i] = 0 // exact zeros: products must not depend on skipping them
 		}
 	}
 	return m

@@ -445,26 +445,15 @@ func (t *Tensor) SetRow(r int, vals []float64) {
 	copy(t.data[r*cols:(r+1)*cols], vals)
 }
 
-// Cache-blocking tile sizes for MatMul. A [blockK, blockN] panel of the
-// right operand is 128 KiB of float64 — it stays resident in L2 while
-// every output row in the worker's shard streams over it, instead of the
-// whole right operand being re-fetched from memory once per output row.
-// Matrices that fit inside a single tile take the untiled fast path.
-const (
-	blockK = 64  // rows of the right-operand panel (inner dimension)
-	blockN = 256 // columns of the right-operand panel (output columns)
-)
-
 // MatMul returns the matrix product t × u for 2-D tensors [m,k] × [k,n].
 //
-// The kernel is cache-blocked: each worker walks its output rows once per
-// [blockK, blockN] panel of u, so the batched inference path (one large
-// [N*OH*OW, C*KH*KW] im2col product per layer) streams panels from L2
-// instead of thrashing memory bandwidth. Blocking never reorders floating
-// point: for every output element the contributions accumulate in
-// ascending p, exactly the serial loop's order, so the product is
-// bit-identical at any worker count, tile size, and batch size (each
-// output row depends only on its own input row).
+// The kernel (gemm in kernels.go) computes 3×2 blocks of the output with
+// the accumulators held in registers across the whole inner dimension.
+// Blocking never reorders floating point: every output element
+// accumulates its contributions in ascending p, exactly the serial loop's
+// order, so the product is bit-identical at any worker count and batch
+// size (each output row depends only on its own input row). A zero times
+// an infinity or NaN yields NaN; there is no zero-skip.
 func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-d operands, got %v and %v", t.shape, u.shape))
@@ -476,8 +465,7 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	}
 	out := New(m, n)
 	// Each worker owns a contiguous block of output rows, so any worker
-	// count reproduces the serial result bit for bit (see gemm in
-	// kernels.go for the blocked loop itself).
+	// count reproduces the serial result bit for bit.
 	gemm(out.data, t.data, u.data, m, k, n)
 	return out
 }
@@ -630,13 +618,15 @@ func (t *Tensor) AddRowVectorIn(v *Tensor) *Tensor {
 }
 
 // Equal reports whether t and u have the same shape and all elements within
-// tol of each other.
+// tol of each other. A NaN element equals nothing, itself included; an
+// infinity equals only the same infinity.
 func (t *Tensor) Equal(u *Tensor, tol float64) bool {
 	if !t.SameShape(u) {
 		return false
 	}
-	for i := range t.data {
-		if math.Abs(t.data[i]-u.data[i]) > tol {
+	for i, v := range t.data {
+		w := u.data[i]
+		if v != w && !(math.Abs(v-w) <= tol) {
 			return false
 		}
 	}

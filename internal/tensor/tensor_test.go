@@ -255,6 +255,35 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
+// TestEqualNonFinite is the regression test for Equal treating NaN as
+// equal to anything (|NaN − x| > tol is false): a NaN must fail every
+// comparison, while identical infinities still compare equal.
+func TestEqualNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		a, b float64
+		tol  float64
+		want bool
+	}{
+		{nan, 0, 1e9, false},
+		{0, nan, 1e9, false},
+		{nan, nan, 0, false},
+		{nan, nan, math.Inf(1), false},
+		{inf, inf, 0, true},
+		{-inf, -inf, 1e-12, true},
+		{inf, -inf, 0, false},
+		{inf, math.MaxFloat64, 1e300, false},
+		{1, 1 + 1e-13, 1e-12, true},
+		{1, 1.1, 1e-12, false},
+	} {
+		x := FromSlice([]float64{7, c.a}, 2)
+		y := FromSlice([]float64{7, c.b}, 2)
+		if got := x.Equal(y, c.tol); got != c.want {
+			t.Errorf("Equal(%v, %v, tol %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := a.Clone()
