@@ -1,6 +1,6 @@
 # Convenience targets for the TDFM reproduction.
 
-.PHONY: build test test-race chaos serve-chaos swap-chaos grid-chaos bench bench-serve bench-mem bench-parallel repro examples vet vet-docs lint fmt clean
+.PHONY: build test test-race nofma chaos serve-chaos swap-chaos grid-chaos bench bench-serve bench-mem bench-parallel repro examples vet vet-docs lint fmt clean
 
 # Worker-pool size for bench-parallel (the serial leg always runs at 1).
 WORKERS ?= 4
@@ -40,6 +40,16 @@ test: vet-docs lint
 # -race on a two-core host, past go test's 10-minute default.
 test-race:
 	go test -race -timeout 30m ./...
+
+# Portability gate for the determinism contract (DESIGN.md §14): the
+# arm64 compiler fuses `c += x*y` into one FMADDD, whose single rounding
+# changes bits, unless the product is written E(x*y). Fail if the arm64
+# assembly of internal/tensor contains any fused multiply-add.
+nofma:
+	@out=$$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	 fused=$$(echo "$$out" | awk '/STEXT/ {fn = $$1} /FN?M(ADD|SUB)[DS]/ {print fn ": " $$0}'); \
+	 if [ -n "$$fused" ]; then echo "fused multiply-add in internal/tensor (arm64):" >&2; echo "$$fused" >&2; exit 1; fi; \
+	 echo "nofma: no fused multiply-add in internal/tensor (arm64)"
 
 # Fault-tolerance suite: the chaos harness plus every test that injects
 # faults through it, under the race detector (recovery and retry paths

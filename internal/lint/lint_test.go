@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -231,5 +232,35 @@ func TestLoadRejectsEmptyDir(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoGoFiles) {
 		t.Fatalf("error %v does not wrap ErrNoGoFiles", err)
+	}
+}
+
+// TestLoadHonorsBuildConstraints pins that Load type-checks only the
+// files the build compiles: a per-architecture pair of declarations (a
+// GOARCH file suffix and its //go:build complement) is one declaration,
+// not a redeclaration.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	other := "arm64"
+	if runtime.GOARCH == "arm64" {
+		other = "amd64"
+	}
+	files := map[string]string{
+		"x.go":                        "package x\n\nvar _ = v\n",
+		"x_" + runtime.GOARCH + ".go": "package x\n\nvar v = 1\n",
+		"x_other.go":                  "//go:build !" + runtime.GOARCH + "\n\npackage x\n\nvar v = 2\n",
+		"x_" + other + "_only.go":     "//go:build " + other + "\n\npackage x\n\nvar v = 3\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := NewLoader().Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 2 || len(pkg.TypeErrors) != 0 {
+		t.Fatalf("loaded %d files with type errors %v; want 2 files and none", len(pkg.Files), pkg.TypeErrors)
 	}
 }

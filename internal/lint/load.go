@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -135,7 +136,9 @@ func (l *Loader) moduleLocal(path string) (string, bool) {
 	return "", false
 }
 
-// Load parses the non-test Go files of dir and, unless NoTypes is set,
+// Load parses the non-test Go files of dir that the build would compile
+// for the host's GOOS and GOARCH (file-name suffixes and //go:build
+// lines, as go/build matches them) and, unless NoTypes is set,
 // type-checks them. A directory with no buildable Go files or with two
 // non-test packages is an error; type-check problems are not (they are
 // recorded in Package.TypeErrors).
@@ -162,6 +165,11 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

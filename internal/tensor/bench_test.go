@@ -167,12 +167,15 @@ func benchGemm(b *testing.B, l gemmBenchLayer, product string) {
 	b.ReportMetric(l.flops()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkGemm measures each product of each study layer.
+// BenchmarkGemm measures each product of each study layer on both
+// float64 paths: the Go kernels (avx2=false) and the AVX2 kernel.
 func BenchmarkGemm(b *testing.B) {
 	for _, l := range gemmBenchLayers {
 		for _, product := range gemmProducts {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", l.name, l.m, l.k, l.n, product),
-				func(b *testing.B) { benchGemm(b, l, product) })
+			for _, on := range []bool{false, true} {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s/avx2=%v", l.name, l.m, l.k, l.n, product, on),
+					func(b *testing.B) { withAVX2(b, on, func() { benchGemm(b, l, product) }) })
+			}
 		}
 	}
 }

@@ -27,6 +27,19 @@ import "tdfm/internal/parallel"
 // element, it accumulates its terms one at a time in ascending p, the
 // order of the textbook triple loop.
 //
+// These generic products serve float32 everywhere and float64 where the
+// CPU lacks AVX2. On amd64 with AVX2 the float64 products of
+// Tensor.MatMul* run on a 4×8 assembly block instead (kernels_f64.go,
+// kernels_amd64.s), with these kernels computing its row and column
+// tails; its per-lane multiply then add rounds exactly as the scalar
+// code does, so every path yields the same bits.
+//
+// Every product term is written E(x*y). The explicit conversion rounds
+// the product before the add, which the Go spec guarantees and which
+// stops the compiler from fusing the pair into one fused multiply-add, as
+// it otherwise does on arm64: the single rounding would change bits
+// across architectures. `make nofma` checks the arm64 assembly.
+//
 // Non-finite rule: the products have no zero-skip branch, so a zero in
 // one operand times an infinity or NaN in the other contributes a NaN
 // (0·Inf → NaN) in all three products alike. For finite operands the
@@ -62,9 +75,9 @@ func rowTriple(i, hi int) (int, int, int) {
 func dotTriple[E element](c0, c1, c2 E, x []E, o0, o1, o2, xs int, y []E, yo, ys, steps int) (E, E, E) {
 	for ; steps > 0; steps-- {
 		v := y[yo]
-		c0 += x[o0] * v
-		c1 += x[o1] * v
-		c2 += x[o2] * v
+		c0 += E(x[o0] * v)
+		c1 += E(x[o1] * v)
+		c2 += E(x[o2] * v)
 		o0 += xs
 		o1 += xs
 		o2 += xs
@@ -86,13 +99,13 @@ func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
 		x1, x2 := a1[p], a2[p]
 		y := b[off : off+2 : off+2]
 		v := y[0]
-		c00 += x0 * v
-		c10 += x1 * v
-		c20 += x2 * v
+		c00 += E(x0 * v)
+		c10 += E(x1 * v)
+		c20 += E(x2 * v)
 		v = y[1]
-		c01 += x0 * v
-		c11 += x1 * v
-		c21 += x2 * v
+		c01 += E(x0 * v)
+		c11 += E(x1 * v)
+		c21 += E(x2 * v)
 		off += n
 	}
 	c0[0], c0[1] = c00, c01
@@ -100,18 +113,18 @@ func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
 	c2[0], c2[1] = c20, c21
 }
 
-// gemmRange applies the gemm row window [lo, hi): dst[i,j] += Σp
-// a[i,p]·b[p,j].
-func gemmRange[E element](dst, a, b []E, k, n, lo, hi int) {
+// gemmRange applies the gemm window of rows [lo, hi) × columns [jlo,
+// jhi): dst[i,j] += Σp a[i,p]·b[p,j].
+func gemmRange[E element](dst, a, b []E, k, n, lo, hi, jlo, jhi int) {
 	for i := lo; i < hi; i += 3 {
 		r0, r1, r2 := rowTriple(i, hi)
 		a0, a1, a2 := a[r0*k:(r0+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k]
 		d0, d1, d2 := dst[r0*n:(r0+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n]
-		j := 0
-		for ; j+2 <= n; j += 2 {
+		j := jlo
+		for ; j+2 <= jhi; j += 2 {
 			gemmBlock(d0[j:], d1[j:], d2[j:], a0, a1, a2, b[j:], n)
 		}
-		if j < n {
+		if j < jhi {
 			d0[j], d1[j], d2[j] = dotTriple(d0[j], d1[j], d2[j], a, r0*k, r1*k, r2*k, 1, b, j, n, k)
 		}
 	}
@@ -121,10 +134,10 @@ func gemmRange[E element](dst, a, b []E, k, n, lo, hi int) {
 // sharded over output rows. dst must be zero-filled for a plain product.
 func gemm[E element](dst, a, b []E, m, k, n int) {
 	if w := parWorkers(m * k * n); w >= 2 {
-		parallel.For(m, w, func(lo, hi int) { gemmRange(dst, a, b, k, n, lo, hi) })
+		parallel.For(m, w, func(lo, hi int) { gemmRange(dst, a, b, k, n, lo, hi, 0, n) })
 		return
 	}
-	gemmRange(dst, a, b, k, n, 0, m)
+	gemmRange(dst, a, b, k, n, 0, m, 0, n)
 }
 
 // transAChunk is how many inner-dimension steps gemmTransA applies to
@@ -148,13 +161,13 @@ func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, 
 		x0, x1, x2 := a[ao], a[ao+o1], a[ao+o2]
 		y := b[bo : bo+2 : bo+2]
 		v := y[0]
-		c00 += x0 * v
-		c10 += x1 * v
-		c20 += x2 * v
+		c00 += E(x0 * v)
+		c10 += E(x1 * v)
+		c20 += E(x2 * v)
 		v = y[1]
-		c01 += x0 * v
-		c11 += x1 * v
-		c21 += x2 * v
+		c01 += E(x0 * v)
+		c11 += E(x1 * v)
+		c21 += E(x2 * v)
 		ao += m
 		bo += n
 	}
@@ -163,13 +176,13 @@ func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, 
 	c2[0], c2[1] = c20, c21
 }
 
-// gemmTransARange applies the gemmTransA column window [jlo, jhi):
-// dst[i,j] += Σp a[p,i]·b[p,j].
-func gemmTransARange[E element](dst, a, b []E, k, m, n, jlo, jhi int) {
+// gemmTransARange applies the gemmTransA window of rows [ilo, ihi) ×
+// columns [jlo, jhi): dst[i,j] += Σp a[p,i]·b[p,j].
+func gemmTransARange[E element](dst, a, b []E, k, m, n, ilo, ihi, jlo, jhi int) {
 	for p0 := 0; p0 < k; p0 += transAChunk {
 		steps := min(transAChunk, k-p0)
-		for i := 0; i < m; i += 3 {
-			r0, r1, r2 := rowTriple(i, m)
+		for i := ilo; i < ihi; i += 3 {
+			r0, r1, r2 := rowTriple(i, ihi)
 			d0, d1, d2 := dst[r0*n:(r0+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n]
 			ao := p0*m + r0
 			j := jlo
@@ -189,10 +202,10 @@ func gemmTransARange[E element](dst, a, b []E, k, m, n, jlo, jhi int) {
 // plain product.
 func gemmTransA[E element](dst, a, b []E, k, m, n int) {
 	if w := parWorkers(k * m * n); w >= 2 {
-		parallel.For(n, w, func(jlo, jhi int) { gemmTransARange(dst, a, b, k, m, n, jlo, jhi) })
+		parallel.For(n, w, func(jlo, jhi int) { gemmTransARange(dst, a, b, k, m, n, 0, m, jlo, jhi) })
 		return
 	}
-	gemmTransARange(dst, a, b, k, m, n, 0, n)
+	gemmTransARange(dst, a, b, k, m, n, 0, m, 0, n)
 }
 
 // transBBlock overwrites c0[:2], c1[:2] and c2[:2] with the dot products
@@ -204,13 +217,13 @@ func transBBlock[E element](c0, c1, c2, a0, a1, a2, b0, b1 []E) {
 	for p, x0 := range a0 {
 		x1, x2 := a1[p], a2[p]
 		v := b0[p]
-		c00 += x0 * v
-		c10 += x1 * v
-		c20 += x2 * v
+		c00 += E(x0 * v)
+		c10 += E(x1 * v)
+		c20 += E(x2 * v)
 		v = b1[p]
-		c01 += x0 * v
-		c11 += x1 * v
-		c21 += x2 * v
+		c01 += E(x0 * v)
+		c11 += E(x1 * v)
+		c21 += E(x2 * v)
 	}
 	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
 	c0[0], c0[1] = c00, c01

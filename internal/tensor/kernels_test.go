@@ -100,41 +100,120 @@ func sameBits[E element](got, want []E) int {
 	return -1
 }
 
-// checkKernelsAgainstReference runs all three products of one shape at
-// the current parallelism and compares every element with the reference
-// loops bit for bit.
-func checkKernelsAgainstReference[E element](t *testing.T, rng *xrand.RNG, label string, m, k, n int) {
-	t.Helper()
-	a := randOperand[E](rng.Split("a"), m*k)   // [m,k]
-	b := randOperand[E](rng.Split("b"), k*n)   // [k,n]
-	at := randOperand[E](rng.Split("at"), k*m) // [k,m]
-	bt := randOperand[E](rng.Split("bt"), n*k) // [n,k]
+// hostAVX2 records whether this host runs the AVX2 kernel, before any
+// test flips useAVX2.
+var hostAVX2 = useAVX2
 
-	got := make([]E, m*n)
-	gemm(got, a, b, m, k, n)
-	if i := sameBits(got, refGemm(a, b, m, k, n)); i >= 0 {
-		t.Fatalf("%s gemm: element %d = %v, reference %v", label, i, got[i], refGemm(a, b, m, k, n)[i])
+// withAVX2 runs body with the float64 products on the AVX2 kernel (on)
+// or on the Go fallback (off), skipping the AVX2 leg on hosts without it.
+func withAVX2(t testing.TB, on bool, body func()) {
+	t.Helper()
+	if on && !hostAVX2 {
+		t.Skip("host has no AVX2: the float64 products run on the Go kernels only")
 	}
-	got = make([]E, m*n)
-	gemmTransA(got, at, b, k, m, n)
-	if i := sameBits(got, refGemmTransA(at, b, k, m, n)); i >= 0 {
-		t.Fatalf("%s gemmTransA: element %d = %v, reference %v", label, i, got[i], refGemmTransA(at, b, k, m, n)[i])
-	}
-	// gemmTransB overwrites, so start from garbage rather than zeros.
-	got = randOperand[E](rng.Split("dst"), m*n)
-	gemmTransB(got, a, bt, m, k, n)
-	if i := sameBits(got, refGemmTransB(a, bt, m, k, n)); i >= 0 {
-		t.Fatalf("%s gemmTransB: element %d = %v, reference %v", label, i, got[i], refGemmTransB(a, bt, m, k, n)[i])
+	defer func() { useAVX2 = hostAVX2 }()
+	useAVX2 = on
+	body()
+}
+
+// avx2Legs runs body as one subtest per float64 path: the Go fallback
+// and the AVX2 kernel.
+func avx2Legs(t *testing.T, body func(t *testing.T)) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("avx2=%v", on), func(t *testing.T) {
+			withAVX2(t, on, func() { body(t) })
+		})
 	}
 }
 
-// TestKernelsMatchReferenceBitwise pins the micro-kernels to the
-// reference loops for every product, both precisions and worker counts 1,
-// 2 and 4, over shapes that reach every block and tail: a lone row (the
-// single-request Dense shape), row counts that leave one or two rows
-// after the last full block (the aliased rows), odd widths (the column
-// tail), k = 1, inner dimensions around gemmTransA's chunk, and products
-// large enough to shard across workers.
+// products are the three matrix products one precision runs: the
+// float64 drivers behind Tensor.MatMul* (AVX2 or Go, per useAVX2), or
+// the generic kernels behind F32.
+type products[E element] struct {
+	gemm, transA, transB func(dst, a, b []E, x, y, z int)
+}
+
+var (
+	products64 = products[float64]{gemmF64, gemmTransAF64, gemmTransBF64}
+	products32 = products[float32]{gemm[float32], gemmTransA[float32], gemmTransB[float32]}
+)
+
+// guard is the sentinel planted around every destination window, so a
+// kernel that writes outside its slice is caught.
+const guard = -12345.5
+
+// window copies vals into a buffer, off elements from its start and with
+// guard sentinels on both sides, and returns the copy and a check that
+// reports whether the sentinels survived. An odd off puts float64 operands off
+// every 16- and 32-byte boundary, so the AVX2 kernel's loads and stores
+// run unaligned.
+func window[E element](vals []E, off int) ([]E, func() bool) {
+	const pad = 9
+	buf := make([]E, off+len(vals)+pad)
+	for i := range buf {
+		buf[i] = guard
+	}
+	w := buf[off : off+len(vals) : off+len(vals)]
+	copy(w, vals)
+	return w, func() bool {
+		for _, v := range buf[:off] {
+			if v != guard {
+				return false
+			}
+		}
+		for _, v := range buf[off+len(vals):] {
+			if v != guard {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// checkKernelsAgainstReference runs all three products of one shape at
+// the current parallelism, with every operand and destination starting
+// off elements into its buffer, and compares every element with the
+// reference loops bit for bit.
+func checkKernelsAgainstReference[E element](t *testing.T, prod products[E], rng *xrand.RNG, label string, m, k, n, off int) {
+	t.Helper()
+	a, _ := window(randOperand[E](rng.Split("a"), m*k), off)   // [m,k]
+	b, _ := window(randOperand[E](rng.Split("b"), k*n), off)   // [k,n]
+	at, _ := window(randOperand[E](rng.Split("at"), k*m), off) // [k,m]
+	bt, _ := window(randOperand[E](rng.Split("bt"), n*k), off) // [n,k]
+
+	for _, c := range []struct {
+		name string
+		run  func(dst []E)
+		want []E
+		init []E
+	}{
+		{"gemm", func(dst []E) { prod.gemm(dst, a, b, m, k, n) }, refGemm(a, b, m, k, n), make([]E, m*n)},
+		{"gemmTransA", func(dst []E) { prod.transA(dst, at, b, k, m, n) }, refGemmTransA(at, b, k, m, n), make([]E, m*n)},
+		// gemmTransB overwrites, so start from garbage rather than zeros.
+		{"gemmTransB", func(dst []E) { prod.transB(dst, a, bt, m, k, n) }, refGemmTransB(a, bt, m, k, n), randOperand[E](rng.Split("dst"), m*n)},
+	} {
+		got, intact := window(c.init, off)
+		c.run(got)
+		if i := sameBits(got, c.want); i >= 0 {
+			t.Fatalf("%s %s: element %d = %v, reference %v", label, c.name, i, got[i], c.want[i])
+		}
+		if !intact() {
+			t.Fatalf("%s %s: wrote outside the destination", label, c.name)
+		}
+	}
+}
+
+// TestKernelsMatchReferenceBitwise pins the products to the reference
+// loops for both precisions, both float64 paths (AVX2 and Go) and worker
+// counts 1, 2 and 4, over shapes that reach every block and tail: a lone
+// row (the single-request Dense shape), row counts that leave one to
+// three rows after the last 4-row block and one or two after the last
+// 3-row Go block (the aliased rows), widths that leave 0 to 7 columns
+// after the last 8-column strip and an odd column for the Go kernel,
+// k = 1, inner dimensions around gemmTransA's chunk, gemmTransA widths
+// whose strips straddle the shard boundaries, and products large enough
+// to shard across workers. Every shape also runs on operands that start
+// one element into their buffers (unaligned vector loads and stores).
 func TestKernelsMatchReferenceBitwise(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
@@ -152,25 +231,38 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 		{11, transAChunk + 1, 9},
 		{4, 2*transAChunk + 3, 13},
 		{301, 120, 6},
+		{4, 1, 8},
+		{4, 27, 8},
+		{5, 27, 12},
+		{6, 9, 16},
+		{7, 33, 43},
+		{9, 288, 64},
+		{13, 300, 24},
+		{66, transAChunk + 5, 40},
 	}
-	for _, workers := range []int{1, 2, 4} {
-		withParallelism(t, workers, func() {
-			for _, s := range shapes {
-				m, k, n := s[0], s[1], s[2]
-				rng := xrand.New(uint64(m*1000003 + k*1009 + n))
-				label := fmt.Sprintf("[%d,%d,%d] @%dw", m, k, n, workers)
-				checkKernelsAgainstReference[float64](t, rng.Split("f64"), label+" f64", m, k, n)
-				checkKernelsAgainstReference[float32](t, rng.Split("f32"), label+" f32", m, k, n)
-			}
-		})
-	}
+	avx2Legs(t, func(t *testing.T) {
+		for _, workers := range []int{1, 2, 4} {
+			withParallelism(t, workers, func() {
+				for _, s := range shapes {
+					m, k, n := s[0], s[1], s[2]
+					for _, off := range []int{0, 1} {
+						rng := xrand.New(uint64(m*1000003 + k*1009 + n))
+						label := fmt.Sprintf("[%d,%d,%d]+%d @%dw", m, k, n, off, workers)
+						checkKernelsAgainstReference(t, products64, rng.Split("f64"), label+" f64", m, k, n, off)
+						checkKernelsAgainstReference(t, products32, rng.Split("f32"), label+" f32", m, k, n, off)
+					}
+				}
+			})
+		}
+	})
 }
 
 // TestKernelsZeroTimesInfIsNaN pins the products' one non-finite rule:
 // with no zero-skip branch, a zero in either operand times an infinity in
-// the other contributes a NaN, in every product, block and tail alike.
+// the other contributes a NaN, in every product, block and tail alike, on
+// both float64 paths. [4,2,5] has a leftover Go row and an odd last
+// column; [5,2,9] adds a 4×8 AVX2 block with a row and a column tail.
 func TestKernelsZeroTimesInfIsNaN(t *testing.T) {
-	const m, k, n = 4, 2, 5 // a leftover row and an odd last column
 	fill := func(size int, v float64) []float64 {
 		s := make([]float64, size)
 		for i := range s {
@@ -179,27 +271,32 @@ func TestKernelsZeroTimesInfIsNaN(t *testing.T) {
 		return s
 	}
 	inf := math.Inf(1)
-	for _, c := range []struct {
-		name        string
-		left, right float64
-	}{
-		{"zero × inf", 0, inf},
-		{"inf × zero", inf, 0},
-	} {
-		products := map[string][]float64{
-			"gemm":       make([]float64, m*n),
-			"gemmTransA": make([]float64, m*n),
-			"gemmTransB": make([]float64, m*n),
-		}
-		gemm(products["gemm"], fill(m*k, c.left), fill(k*n, c.right), m, k, n)
-		gemmTransA(products["gemmTransA"], fill(k*m, c.left), fill(k*n, c.right), k, m, n)
-		gemmTransB(products["gemmTransB"], fill(m*k, c.left), fill(n*k, c.right), m, k, n)
-		for name, out := range products {
-			for i, v := range out {
-				if !math.IsNaN(v) {
-					t.Fatalf("%s %s: element %d = %v, want NaN", c.name, name, i, v)
+	avx2Legs(t, func(t *testing.T) {
+		for _, shape := range [][3]int{{4, 2, 5}, {5, 2, 9}} {
+			m, k, n := shape[0], shape[1], shape[2]
+			for _, c := range []struct {
+				name        string
+				left, right float64
+			}{
+				{"zero × inf", 0, inf},
+				{"inf × zero", inf, 0},
+			} {
+				products := map[string][]float64{
+					"gemm":       make([]float64, m*n),
+					"gemmTransA": make([]float64, m*n),
+					"gemmTransB": make([]float64, m*n),
+				}
+				gemmF64(products["gemm"], fill(m*k, c.left), fill(k*n, c.right), m, k, n)
+				gemmTransAF64(products["gemmTransA"], fill(k*m, c.left), fill(k*n, c.right), k, m, n)
+				gemmTransBF64(products["gemmTransB"], fill(m*k, c.left), fill(n*k, c.right), m, k, n)
+				for name, out := range products {
+					for i, v := range out {
+						if !math.IsNaN(v) {
+							t.Fatalf("%v %s %s: element %d = %v, want NaN", shape, c.name, name, i, v)
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -307,7 +307,7 @@ func (t *Tensor) ScaleIn(s float64) *Tensor {
 func (t *Tensor) AddScaledIn(s float64, u *Tensor) *Tensor {
 	t.mustMatch(u, "AddScaledIn")
 	for i, v := range u.data {
-		t.data[i] += s * v
+		t.data[i] += float64(s * v) // rounded before the add: never fused (kernels.go)
 	}
 	return t
 }
@@ -396,7 +396,7 @@ func (t *Tensor) Min() float64 {
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v) // rounded before the add: never fused (kernels.go)
 	}
 	return math.Sqrt(s)
 }
@@ -447,13 +447,16 @@ func (t *Tensor) SetRow(r int, vals []float64) {
 
 // MatMul returns the matrix product t × u for 2-D tensors [m,k] × [k,n].
 //
-// The kernel (gemm in kernels.go) computes 3×2 blocks of the output with
-// the accumulators held in registers across the whole inner dimension.
-// Blocking never reorders floating point: every output element
-// accumulates its contributions in ascending p, exactly the serial loop's
-// order, so the product is bit-identical at any worker count and batch
-// size (each output row depends only on its own input row). A zero times
-// an infinity or NaN yields NaN; there is no zero-skip.
+// The kernels hold a block of accumulators in registers across the whole
+// inner dimension: 4×8 AVX2 blocks on amd64 CPUs that have AVX2
+// (kernels_f64.go), 3×2 Go blocks for the tails and elsewhere
+// (kernels.go). Blocking never reorders floating point: every output
+// element accumulates its contributions in ascending p, one rounded
+// multiply then one rounded add per term, exactly the serial loop's
+// arithmetic, so the product is bit-identical on either path, at any
+// worker count and batch size (each output row depends only on its own
+// input row). A zero times an infinity or NaN yields NaN; there is no
+// zero-skip.
 func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-d operands, got %v and %v", t.shape, u.shape))
@@ -466,7 +469,7 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	out := New(m, n)
 	// Each worker owns a contiguous block of output rows, so any worker
 	// count reproduces the serial result bit for bit.
-	gemm(out.data, t.data, u.data, m, k, n)
+	gemmF64(out.data, t.data, u.data, m, k, n)
 	return out
 }
 
@@ -487,11 +490,12 @@ func (t *Tensor) MatMulInto(dst, u *Tensor) *Tensor {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto destination %v, want [%d,%d]", dst.shape, m, n))
 	}
-	gemm(dst.data, t.data, u.data, m, k, n)
+	gemmF64(dst.data, t.data, u.data, m, k, n)
 	return dst
 }
 
-// MatMulTransA returns tᵀ × u for 2-D tensors t [k,m], u [k,n] -> [m,n].
+// MatMulTransA returns tᵀ × u for 2-D tensors t [k,m], u [k,n] -> [m,n],
+// on the same kernels and with the same bitwise guarantee as MatMul.
 func (t *Tensor) MatMulTransA(u *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
 		panic("tensor: MatMulTransA needs 2-d operands")
@@ -503,10 +507,11 @@ func (t *Tensor) MatMulTransA(u *Tensor) *Tensor {
 	}
 	out := New(m, n)
 	// The p-outer loop accumulates into every output row, so sharding is
-	// over output columns: each worker applies the full p loop to its own
-	// column window, preserving the serial ascending-p accumulation order
-	// per element (bit-identical for any worker count).
-	gemmTransA(out.data, t.data, u.data, k, m, n)
+	// over output columns (whole 8-column strips on the AVX2 path): each
+	// worker applies the full p loop to its own column window, preserving
+	// the serial ascending-p accumulation order per element
+	// (bit-identical for any worker count).
+	gemmTransAF64(out.data, t.data, u.data, k, m, n)
 	return out
 }
 
@@ -525,11 +530,13 @@ func (t *Tensor) MatMulTransAInto(dst, u *Tensor) *Tensor {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v, want [%d,%d]", dst.shape, m, n))
 	}
-	gemmTransA(dst.data, t.data, u.data, k, m, n)
+	gemmTransAF64(dst.data, t.data, u.data, k, m, n)
 	return dst
 }
 
-// MatMulTransB returns t × uᵀ for 2-D tensors t [m,k], u [n,k] -> [m,n].
+// MatMulTransB returns t × uᵀ for 2-D tensors t [m,k], u [n,k] -> [m,n],
+// on the same kernels and with the same bitwise guarantee as MatMul. On
+// the AVX2 path it packs uᵀ into a pooled buffer and runs MatMul's kernel.
 func (t *Tensor) MatMulTransB(u *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
 		panic("tensor: MatMulTransB needs 2-d operands")
@@ -540,7 +547,7 @@ func (t *Tensor) MatMulTransB(u *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %v", t.shape, u.shape))
 	}
 	out := New(m, n)
-	gemmTransB(out.data, t.data, u.data, m, k, n)
+	gemmTransBF64(out.data, t.data, u.data, m, k, n)
 	return out
 }
 
@@ -560,7 +567,7 @@ func (t *Tensor) MatMulTransBInto(dst, u *Tensor) *Tensor {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto destination %v, want [%d,%d]", dst.shape, m, n))
 	}
-	gemmTransB(dst.data, t.data, u.data, m, k, n)
+	gemmTransBF64(dst.data, t.data, u.data, m, k, n)
 	return dst
 }
 
