@@ -44,12 +44,12 @@ test-race:
 # Portability gate for the determinism contract (DESIGN.md §14): the
 # arm64 compiler fuses `c += x*y` into one FMADDD, whose single rounding
 # changes bits, unless the product is written E(x*y). Fail if the arm64
-# assembly of internal/tensor contains any fused multiply-add.
+# assembly of any package in the module contains a fused multiply-add.
 nofma:
-	@out=$$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	@out=$$(GOARCH=arm64 go build -gcflags='tdfm/...=-S' ./... 2>&1) || { echo "$$out" >&2; exit 1; }; \
 	 fused=$$(echo "$$out" | awk '/STEXT/ {fn = $$1} /FN?M(ADD|SUB)[DS]/ {print fn ": " $$0}'); \
-	 if [ -n "$$fused" ]; then echo "fused multiply-add in internal/tensor (arm64):" >&2; echo "$$fused" >&2; exit 1; fi; \
-	 echo "nofma: no fused multiply-add in internal/tensor (arm64)"
+	 if [ -n "$$fused" ]; then echo "fused multiply-add in the module (arm64):" >&2; echo "$$fused" >&2; exit 1; fi; \
+	 echo "nofma: no fused multiply-add in the module (arm64)"
 
 # Fault-tolerance suite: the chaos harness plus every test that injects
 # faults through it, under the race detector (recovery and retry paths

@@ -113,7 +113,7 @@ func renderASCII(ds *data.Dataset, idx int) string {
 		b.WriteString("  ")
 		for x := 0; x < w; x++ {
 			v := (img[y*w+x] - lo) / span
-			ch := ramp[int(v*float64(len(ramp)-1)+0.5)]
+			ch := ramp[int(float64(v*float64(len(ramp)-1))+0.5)]
 			b.WriteByte(ch)
 			b.WriteByte(ch) // double width for aspect ratio
 		}

@@ -5,13 +5,17 @@ package core
 // is batch-invariant at the bit level. This test pins the contract for
 // every study architecture: PredictProbs over any chunking of the same
 // rows — per-example, batch 3, the full batch — produces byte-identical
-// probabilities at every tested worker count.
+// probabilities at every tested worker count. Each network runs on an
+// arena, as built models do, with every write-once handout filled with
+// NaN (tensor.SetPoisonWriteOnce): a layer that read a write-once
+// element before writing it would turn the probabilities NaN.
 
 import (
 	"math"
 	"testing"
 
 	"tdfm/internal/models"
+	"tdfm/internal/nn"
 	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
 )
@@ -23,6 +27,11 @@ func TestPredictProbsBatchInvariantAcrossModels(t *testing.T) {
 	)
 	oldPar := tensor.Parallelism()
 	defer tensor.SetParallelism(oldPar)
+	oldPool := tensor.PoolingEnabled()
+	defer tensor.SetPooling(oldPool)
+	tensor.SetPooling(true)
+	tensor.SetPoisonWriteOnce(true)
+	defer tensor.SetPoisonWriteOnce(false)
 
 	// One fixed 17-row input, deterministic but not uniform.
 	x := tensor.New(n, 1, h, w)
@@ -40,6 +49,7 @@ func TestPredictProbsBatchInvariantAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			nn.InstallArena(net, tensor.NewArena())
 			m := &builtModel{net: net, classes: classes}
 
 			// Reference: strict per-example loop at a single worker.
@@ -47,6 +57,11 @@ func TestPredictProbsBatchInvariantAcrossModels(t *testing.T) {
 			ref := make([]float64, 0, n*classes)
 			for i := 0; i < n; i++ {
 				ref = append(ref, m.PredictProbs(x.SliceRows(i, i+1)).Data()...)
+			}
+			for j, p := range ref {
+				if math.IsNaN(p) {
+					t.Fatalf("probs[%d] is NaN: a layer read a write-once element it had not written", j)
+				}
 			}
 
 			for _, par := range []int{1, 4} {

@@ -205,6 +205,12 @@ func runEpochs(
 	schedule := opt.CosineDecay{Total: cfg.Epochs}
 	params := net.Params()
 	arena := net.Arena()
+	if arena != nil {
+		// Every return leaves the arena reset, so a recovery attempt reuses
+		// this attempt's buffers instead of allocating a second set while
+		// the first is still live.
+		defer arena.Reset()
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		optimizer.SetLR(lr * schedule.Factor(epoch))
 		shuffled := ds.Shuffled(shuffleRNG)
@@ -246,9 +252,6 @@ func runEpochs(
 			if math.IsInf(norm, 0) || (clip <= 0 && norm > explodeGradNorm) {
 				for _, p := range params {
 					p.ZeroGrad()
-				}
-				if arena != nil {
-					arena.Reset()
 				}
 				return fmt.Errorf("gradient norm %.3g exploded at epoch %d", norm, epoch), nil
 			}

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"tdfm/internal/chaos"
+	"tdfm/internal/data"
+	"tdfm/internal/loss"
+	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
 )
 
@@ -48,6 +51,44 @@ func TestTrainLoopRecoversFromTransientNaN(t *testing.T) {
 	// for every test sample.
 	if len(a) != len(refPred) {
 		t.Fatalf("recovered run predicted %d samples, clean run %d", len(a), len(refPred))
+	}
+}
+
+// TestTrainLoopRecoveryReusesArena pins the arena reset on a diverged
+// attempt: after an injected NaN loss on the first batch, the recovery
+// attempt's first batch draws every buffer from the arena's freelists,
+// so the pool records no miss between the two batches' targets.
+func TestTrainLoopRecoveryReusesArena(t *testing.T) {
+	old := tensor.PoolingEnabled()
+	tensor.SetPooling(true)
+	defer tensor.SetPooling(old)
+	train, _ := tinySet(t)
+	cfg := fastConfig()
+	cfg.Epochs = 1
+	cfg.Tag = "arena-reuse-cell"
+	chaos.Reset()
+	defer chaos.Reset()
+	chaos.Arm("core.trainLoop.loss", cfg.Tag, chaos.Action{NaN: true, Times: 1})
+	_, bm, err := cfg.buildFor(train, xrand.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each batch's targets come after its forward pass; record the miss
+	// count once they are allocated.
+	var misses []uint64
+	targets := func(_ *tensor.Tensor, labels []int) *tensor.Tensor {
+		y := data.FillOneHot(bm.net.Arena().Tensor(len(labels), train.NumClasses), labels)
+		misses = append(misses, tensor.Stats().Misses)
+		return y
+	}
+	if err := trainLoop(bm.net, train, loss.CrossEntropy{}, cfg, xrand.New(32), targets, nil); err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if chaos.Firings() != 1 || len(misses) < 2 {
+		t.Fatalf("fault fired %d times over %d batches, want 1 firing and at least 2 batches", chaos.Firings(), len(misses))
+	}
+	if d := misses[1] - misses[0]; d != 0 {
+		t.Fatalf("recovery attempt's first batch added %d pool misses, want 0 (diverged attempt's buffers not recycled)", d)
 	}
 }
 

@@ -189,7 +189,7 @@ func (d *Dataset) StratifiedIndices(frac float64, rng *xrand.RNG) []int {
 	}
 	var out []int
 	for _, idxs := range byClass {
-		want := int(float64(len(idxs))*frac + 0.5)
+		want := int(float64(float64(len(idxs))*frac) + 0.5)
 		if want > len(idxs) {
 			want = len(idxs)
 		}

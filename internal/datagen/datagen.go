@@ -107,7 +107,7 @@ func renderBumps(dst []float64, bumps []bump, channels, h, w int, scale float64,
 				ddy := float64(y) - (b.cy + dy)
 				for x := 0; x < w; x++ {
 					ddx := float64(x) - (b.cx + dx)
-					dst[base+y*w+x] += amp * math.Exp(-(ddy*ddy+ddx*ddx)*inv)
+					dst[base+y*w+x] += float64(amp * math.Exp(-(float64(ddy*ddy)+float64(ddx*ddx))*inv))
 				}
 			}
 		}

@@ -43,7 +43,7 @@ func RenderPanel(w io.Writer, p *Panel) {
 	fmt.Fprintf(w, "%s, %s, %s faults — AD (lower is better)\n",
 		displayName(p.Dataset), p.Arch, p.FaultType)
 	for _, rate := range p.Rates {
-		fmt.Fprintf(w, " %d%% faults:\n", int(rate*100+0.5))
+		fmt.Fprintf(w, " %d%% faults:\n", int(float64(rate*100)+0.5))
 		for _, tech := range p.Techniques() {
 			cell := p.Cells[tech][rate]
 			line := report.Bar(displayName(tech), cell.AD.Mean, cell.AD.CI95, 40)

@@ -155,7 +155,7 @@ func (in *Injector) Inject(ds *data.Dataset, specs ...Spec) (*data.Dataset, []Re
 func (in *Injector) step(ds *data.Dataset, protected map[int]bool, spec Spec) (*data.Dataset, map[int]bool, Report, error) {
 	rep := Report{Spec: spec, SizeBefore: ds.Len()}
 	elig := in.eligible(protected, ds.Len())
-	count := int(spec.Rate*float64(ds.Len()) + 0.5)
+	count := int(float64(spec.Rate*float64(ds.Len())) + 0.5)
 	if count > len(elig) {
 		count = len(elig)
 	}

@@ -61,8 +61,9 @@ type ownState map[string]ownEntry
 //     outlive the function and defeat intraprocedural ownership (a
 //     deliberate long-lived handoff is justified with //tdfm:allow);
 //   - values allocated from a tensor.Arena (Buf, Buf32, Tensor,
-//     TensorLike, F32) must not be used after that arena's Reset or
-//     Release in the same function: the storage is rezeroed and reissued.
+//     TensorLike, WriteOnce, WriteOnceLike, F32) must not be used after
+//     that arena's Reset or Release in the same function: the storage is
+//     reissued.
 //
 // The analysis is intraprocedural: passing a tracked value to a callee
 // is a borrow (the obligation stays here), receiving one from a callee
@@ -507,7 +508,7 @@ func (a *ownAnalysis) origin(call *ast.CallExpr) (kind int, label, arena string,
 	case isPkgCall(pkg, call, tensorPkg, "ConcatRowsPooled"):
 		return ownTensor, "tensor.ConcatRowsPooled", "", true
 	}
-	for _, m := range [...]string{"Buf", "Buf32", "Tensor", "TensorLike", "F32"} {
+	for _, m := range [...]string{"Buf", "Buf32", "Tensor", "TensorLike", "WriteOnce", "WriteOnceLike", "F32"} {
 		if methodOn(pkg, call, tensorPkg, "Arena", m) {
 			recv := recvExpr(call)
 			if recv == nil {

@@ -160,6 +160,15 @@ func ArenaUseAfterReset(a *tensor.Arena, n int) float64 {
 	return buf[0] // want "used after a.Reset()"
 }
 
+// ArenaWriteOnceUseAfterReset reads a write-once arena tensor after the
+// arena recycled it.
+func ArenaWriteOnceUseAfterReset(a *tensor.Arena, n int) float64 {
+	t := a.WriteOnce(n)
+	t.Fill(1)
+	a.Reset()
+	return t.Data()[0] // want "used after a.Reset()"
+}
+
 // ArenaIndividualRelease calls Release on an arena tensor.
 func ArenaIndividualRelease(a *tensor.Arena, n int) {
 	t := a.Tensor(n, n)

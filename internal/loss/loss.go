@@ -120,7 +120,7 @@ func (CrossEntropy) Forward(logits, targets *tensor.Tensor) (float64, *tensor.Te
 			i := r*k + c
 			y := td[i]
 			if y != 0 {
-				total += y * (lse[r] - ld[i])
+				total += float64(y * (lse[r] - ld[i]))
 			}
 			gd[i] = (pd[i] - y) * invN
 		}
@@ -210,7 +210,7 @@ func (l LabelRelaxation) Forward(logits, targets *tensor.Tensor) (float64, *tens
 				yhat = l.Alpha * pd[i] / math.Max(rest, eps)
 			}
 			if yhat > 0 {
-				total += yhat * math.Log(math.Max(yhat, eps)/math.Max(pd[i], eps))
+				total += float64(yhat * math.Log(math.Max(yhat, eps)/math.Max(pd[i], eps)))
 			}
 			gd[i] = (pd[i] - yhat) * invN
 		}
@@ -244,14 +244,14 @@ func (NCE) Forward(logits, targets *tensor.Tensor) (float64, *tensor.Tensor) {
 		for c := 0; c < k; c++ {
 			i := r*k + c
 			logp := ld[i] - lse[r]
-			u -= td[i] * logp
+			u -= float64(td[i] * logp)
 			v -= logp
 		}
 		total += u / v
 		// dL/dz_i = (p_i - y_i)/v - u·(K·p_i - 1)/v².
 		for c := 0; c < k; c++ {
 			i := r*k + c
-			gd[i] = ((pd[i]-td[i])/v - u*(float64(k)*pd[i]-1)/(v*v)) * invN
+			gd[i] = ((pd[i]-td[i])/v - u*(float64(float64(k)*pd[i])-1)/(v*v)) * invN
 		}
 	}
 	return total * invN, grad
@@ -297,7 +297,7 @@ func (r RCE) Forward(logits, targets *tensor.Tensor) (float64, *tensor.Tensor) {
 			if td[i] > eps {
 				ly = math.Log(td[i])
 			}
-			dot += pd[i] * ly
+			dot += float64(pd[i] * ly)
 		}
 		total += -dot
 		for c := 0; c < k; c++ {
@@ -340,7 +340,7 @@ func (a *ActivePassive) Forward(logits, targets *tensor.Tensor) (float64, *tenso
 	lp, gp := a.Passive.Forward(logits, targets)
 	grad := ga.Scale(a.Alpha)
 	grad.AddScaledIn(a.Beta, gp)
-	return a.Alpha*la + a.Beta*lp, grad
+	return float64(a.Alpha*la) + float64(a.Beta*lp), grad
 }
 
 // Distillation is the knowledge-distillation student loss (§III-B4):
@@ -383,7 +383,7 @@ func (d Distillation) ForwardKD(logits, hardTargets, teacherProbsT *tensor.Tenso
 	const eps = 1e-12
 	for i := range sd {
 		if tdp[i] > eps {
-			kl += tdp[i] * math.Log(tdp[i]/math.Max(sd[i], eps))
+			kl += float64(tdp[i] * math.Log(tdp[i]/math.Max(sd[i], eps)))
 		}
 	}
 	invN := 1 / float64(n)
@@ -392,9 +392,9 @@ func (d Distillation) ForwardKD(logits, hardTargets, teacherProbsT *tensor.Tenso
 	grad := tensor.New(n, k)
 	gd := grad.Data()
 	for i := range gd {
-		gd[i] = d.Alpha*d.T*(sd[i]-tdp[i])*invN + (1-d.Alpha)*ceGrad.Data()[i]
+		gd[i] = float64(d.Alpha*d.T*(sd[i]-tdp[i])*invN) + float64((1-d.Alpha)*ceGrad.Data()[i])
 	}
-	return (1-d.Alpha)*ceLoss + d.Alpha*d.T*d.T*kl, grad
+	return float64((1-d.Alpha)*ceLoss) + float64(d.Alpha*d.T*d.T*kl), grad
 }
 
 // MAE is the mean absolute error over probability vectors, another
@@ -422,7 +422,7 @@ func (MAE) Forward(logits, targets *tensor.Tensor) (float64, *tensor.Tensor) {
 			i := r*k + c
 			d := pd[i] - td[i]
 			total += math.Abs(d)
-			dot += sign(d) * pd[i]
+			dot += float64(sign(d) * pd[i])
 		}
 		for c := 0; c < k; c++ {
 			i := r*k + c

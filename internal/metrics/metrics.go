@@ -165,7 +165,7 @@ func Summarize(xs []float64) Summary {
 	varSum := 0.0
 	for _, v := range xs {
 		d := v - mean
-		varSum += d * d
+		varSum += float64(d * d)
 	}
 	std := 0.0
 	if n > 1 {

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
@@ -21,15 +23,18 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative elements.
+// Forward keeps x where it is positive or NaN and writes +0 elsewhere
+// (−0, −Inf and every negative value included). Forward and Backward
+// select with bit masks rather than branches: activations change sign at
+// random, so a compare-and-branch per element mispredicts about half the
+// time.
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := r.allocLike(x)
-	od := out.Data()
-	copy(od, x.Data())
-	for i, v := range od {
-		if v <= 0 {
-			od[i] = 0
-		}
+	out := r.allocWriteOnceLike(x)
+	od, xd := out.Data(), x.Data()
+	xd = xd[:len(od)]
+	for i, v := range xd {
+		u := math.Float64bits(v)
+		od[i] = math.Float64frombits(u & (positiveMask(u) | nanMask(u)))
 	}
 	if training {
 		r.out = out
@@ -37,19 +42,37 @@ func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return out
 }
 
-// Backward zeroes gradients where the forward input was non-positive.
+// Backward passes dout where the forward output is positive and writes
+// +0 elsewhere, NaN outputs included.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if r.out == nil {
 		panic("nn: ReLU Backward before training Forward")
 	}
-	dx := r.allocLike(dout)
+	dx := r.allocWriteOnceLike(dout)
 	dxd, dod, od := dx.Data(), dout.Data(), r.out.Data()
-	for i := range dxd {
-		if od[i] > 0 {
-			dxd[i] = dod[i]
-		}
+	dod, od = dod[:len(dxd)], od[:len(dxd)]
+	for i, g := range dod {
+		dxd[i] = math.Float64frombits(math.Float64bits(g) & positiveMask(math.Float64bits(od[i])))
 	}
 	return dx
+}
+
+// infBits is the bit pattern of +Inf; exactly the NaNs have larger
+// magnitude bits.
+const infBits = 0x7ff0_0000_0000_0000
+
+// positiveMask returns all ones if the float64 with bits u is greater
+// than zero (+Inf included, NaN not), else zero: exactly those u lie in
+// [1, infBits], so u-1 borrows when infBits is subtracted from it.
+func positiveMask(u uint64) uint64 {
+	_, borrow := bits.Sub64(u-1, infBits, 0)
+	return -borrow
+}
+
+// nanMask returns all ones if the float64 with bits u is a NaN, else
+// zero: infBits minus the magnitude bits goes negative exactly for NaNs.
+func nanMask(u uint64) uint64 {
+	return uint64(int64(infBits-u&^(1<<63)) >> 63)
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -82,7 +105,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		d.mask = nil
 		return x
 	}
-	out := d.allocLike(x)
+	out := d.allocWriteOnceLike(x)
 	od := out.Data()
 	copy(od, x.Data())
 	mask := d.allocBuf(len(od))
@@ -106,7 +129,7 @@ func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		// Dropout was an identity in Forward (rate 0); pass through.
 		return dout
 	}
-	dx := d.allocLike(dout)
+	dx := d.allocWriteOnceLike(dout)
 	dxd, dod := dx.Data(), dout.Data()
 	for i := range dxd {
 		dxd[i] = dod[i] * d.mask[i]

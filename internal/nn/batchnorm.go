@@ -59,7 +59,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: BatchNorm2D %s expects [N,%d,H,W], got %v", b.gamma.Name, b.ch, x.Shape()))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	out := b.alloc(n, b.ch, h, w)
+	out := b.allocWriteOnce(n, b.ch, h, w)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.gamma.W.Data(), b.beta.W.Data()
 	plane := h * w
@@ -73,14 +73,14 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 			for img := 0; img < n; img++ {
 				base := (img*b.ch + ch) * plane
 				for i := 0; i < plane; i++ {
-					od[base+i] = g*(xd[base+i]-mean)*invStd + bt
+					od[base+i] = float64(g*(xd[base+i]-mean)*invStd) + bt
 				}
 			}
 		}
 		return out
 	}
 
-	xhat := b.alloc(n, b.ch, h, w)
+	xhat := b.allocWriteOnce(n, b.ch, h, w)
 	xh := xhat.Data()
 	invStds := b.allocBuf(b.ch)
 	for ch := 0; ch < b.ch; ch++ {
@@ -97,7 +97,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 			base := (img*b.ch + ch) * plane
 			for i := 0; i < plane; i++ {
 				d := xd[base+i] - mean
-				vs += d * d
+				vs += float64(d * d)
 			}
 		}
 		variance := vs / cnt
@@ -109,11 +109,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 			for i := 0; i < plane; i++ {
 				xn := (xd[base+i] - mean) * invStd
 				xh[base+i] = xn
-				od[base+i] = g*xn + bt
+				od[base+i] = float64(g*xn) + bt
 			}
 		}
-		b.runningMean[ch] = b.momentum*b.runningMean[ch] + (1-b.momentum)*mean
-		b.runningVar[ch] = b.momentum*b.runningVar[ch] + (1-b.momentum)*variance
+		b.runningMean[ch] = float64(b.momentum*b.runningMean[ch]) + float64((1-b.momentum)*mean)
+		b.runningVar[ch] = float64(b.momentum*b.runningVar[ch]) + float64((1-b.momentum)*variance)
 	}
 	b.xhat, b.invStd, b.n, b.h, b.w = xhat, invStds, n, h, w
 	return out
@@ -127,7 +127,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, h, w := b.n, b.h, b.w
 	plane := h * w
 	cnt := float64(n * plane)
-	dx := b.alloc(n, b.ch, h, w)
+	dx := b.allocWriteOnce(n, b.ch, h, w)
 	dxd, dod, xh := dx.Data(), dout.Data(), b.xhat.Data()
 	gg, gb := b.gamma.Grad.Data(), b.beta.Grad.Data()
 	gd := b.gamma.W.Data()
@@ -138,7 +138,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < plane; i++ {
 				dy := dod[base+i]
 				sumDy += dy
-				sumDyXhat += dy * xh[base+i]
+				sumDyXhat += float64(dy * xh[base+i])
 			}
 		}
 		gg[ch] += sumDyXhat

@@ -55,13 +55,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.geom.OutSize(h, w)
-	cols := tensor.Im2ColInto(c.alloc(n*oh*ow, c.inC*c.geom.KH*c.geom.KW), x, c.geom)
+	cols := tensor.Im2ColInto(c.allocWriteOnce(n*oh*ow, c.inC*c.geom.KH*c.geom.KW), x, c.geom)
 	rows := cols.MatMulInto(c.alloc(n*oh*ow, c.outC), c.w.W)
 	rows.AddRowVectorIn(c.b.W)
 	if training {
 		c.cols, c.n, c.h, c.wIn, c.oh, c.ow = cols, n, h, w, oh, ow
 	}
-	return tensor.RowsToNCHWInto(c.alloc(n, c.outC, oh, ow), rows)
+	return tensor.RowsToNCHWInto(c.allocWriteOnce(n, c.outC, oh, ow), rows)
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
@@ -69,11 +69,11 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil {
 		panic("nn: Conv2D Backward before training Forward")
 	}
-	doutRows := tensor.NCHWToRowsInto(c.alloc(c.n*c.oh*c.ow, c.outC), dout) // [N*OH*OW, outC]
+	doutRows := tensor.NCHWToRowsInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.outC), dout) // [N*OH*OW, outC]
 	c.w.Grad.AddIn(c.cols.MatMulTransAInto(c.alloc(c.inC*c.geom.KH*c.geom.KW, c.outC), doutRows))
 	c.b.Grad.AddIn(doutRows.SumRowsInto(c.alloc(c.outC)))
-	dcols := doutRows.MatMulTransBInto(c.alloc(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
-	return tensor.Col2ImInto(c.alloc(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
+	dcols := doutRows.MatMulTransBInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
+	return tensor.Col2ImInto(c.allocWriteOnce(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
 }
 
 // Params returns the kernel and bias parameters.
@@ -122,7 +122,7 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tenso
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := d.geom.OutSize(h, w)
-	out := d.alloc(n, d.ch, oh, ow)
+	out := d.allocWriteOnce(n, d.ch, oh, ow)
 	xd, od, wd, bd := x.Data(), out.Data(), d.w.W.Data(), d.b.W.Data()
 	k := d.geom.KH
 	tensor.Shard(n, n*d.ch*oh*ow*k*k, func(imgLo, imgHi int) {
@@ -158,7 +158,7 @@ func (d *DepthwiseConv2D) forwardImage(img, h, w, oh, ow int, xd, od, wd, bd []f
 						if ix < 0 || ix >= w {
 							continue
 						}
-						s += xd[inBase+iy*w+ix] * wd[kBase+ky*k+kx]
+						s += float64(xd[inBase+iy*w+ix] * wd[kBase+ky*k+kx])
 					}
 				}
 				od[outBase+oy*ow+ox] = s
@@ -203,8 +203,8 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= w {
 								continue
 							}
-							gw[kBase+ky*k+kx] += g * xd[inBase+iy*w+ix]
-							dxd[inBase+iy*w+ix] += g * wd[kBase+ky*k+kx]
+							gw[kBase+ky*k+kx] += float64(g * xd[inBase+iy*w+ix])
+							dxd[inBase+iy*w+ix] += float64(g * wd[kBase+ky*k+kx])
 						}
 					}
 				}

@@ -64,7 +64,7 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	d.w.Grad.AddIn(d.x.MatMulTransAInto(d.alloc(d.in, d.out), dout))
 	d.b.Grad.AddIn(dout.SumRowsInto(d.alloc(d.out)))
-	return dout.MatMulTransBInto(d.alloc(dout.Dim(0), d.in), d.w.W)
+	return dout.MatMulTransBInto(d.allocWriteOnce(dout.Dim(0), d.in), d.w.W)
 }
 
 // Params returns the weight and bias parameters.

@@ -121,7 +121,7 @@ func convertF32(l Layer) (f32Layer, error) {
 		for ch := 0; ch < v.ch; ch++ {
 			scale := gd[ch] / math.Sqrt(v.runningVar[ch]+v.eps)
 			f.scale[ch] = float32(scale)
-			f.shift[ch] = float32(bd[ch] - v.runningMean[ch]*scale)
+			f.shift[ch] = float32(bd[ch] - float64(v.runningMean[ch]*scale))
 		}
 		return f, nil
 	case *ReLU:
@@ -217,7 +217,7 @@ func (d *f32Depthwise) forward(x *tensor.F32, a *tensor.Arena) *tensor.F32 {
 							if ix < 0 || ix >= w {
 								continue
 							}
-							s += xd[inBase+iy*w+ix] * d.w[kBase+ky*k+kx]
+							s += float32(xd[inBase+iy*w+ix] * d.w[kBase+ky*k+kx])
 						}
 					}
 					od[outBase+oy*ow+ox] = s
@@ -242,7 +242,7 @@ func (b *f32BatchNorm) forward(x *tensor.F32, a *tensor.Arena) *tensor.F32 {
 			base := (img*c + ch) * plane
 			s, sh := b.scale[ch], b.shift[ch]
 			for i := 0; i < plane; i++ {
-				od[base+i] = s*xd[base+i] + sh
+				od[base+i] = float32(s*xd[base+i]) + sh
 			}
 		}
 	}

@@ -42,8 +42,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // layer allocates comes from the arena and is recycled wholesale by the
 // owner's Arena.Reset at batch/chunk boundaries; without one, alloc is
 // plain tensor.New and behaviour is exactly the historical
-// allocate-per-call path. Buffers are zero-filled either way, so the two
-// modes are byte-identical.
+// allocate-per-call path. The two modes are byte-identical: alloc is
+// zero-filled either way, and allocWriteOnce is used only for
+// destinations whose every element is written before any is read.
 type arenaHolder struct {
 	arena *tensor.Arena
 }
@@ -69,6 +70,25 @@ func (h *arenaHolder) allocLike(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.NewLike(x)
 }
 
+// allocWriteOnce is alloc without the zero fill: an arena handout keeps
+// stale contents (see tensor.Arena.WriteOnce), so the caller must write
+// every element before reading any. Without an arena it is tensor.New.
+func (h *arenaHolder) allocWriteOnce(shape ...int) *tensor.Tensor {
+	if h.arena != nil {
+		return h.arena.WriteOnce(shape...)
+	}
+	return tensor.New(shape...)
+}
+
+// allocWriteOnceLike is allocWriteOnce with x's shape, without the shape
+// copy an x.Shape() spread would allocate.
+func (h *arenaHolder) allocWriteOnceLike(x *tensor.Tensor) *tensor.Tensor {
+	if h.arena != nil {
+		return h.arena.WriteOnceLike(x)
+	}
+	return tensor.NewLike(x)
+}
+
 // allocBuf returns a zero-filled []float64 from the arena when one is
 // installed, else a fresh slice.
 func (h *arenaHolder) allocBuf(n int) []float64 {
@@ -90,7 +110,8 @@ type arenaUser interface {
 // resets after each optimizer step, the inference path after each
 // predicted chunk (DESIGN.md §10). Pass nil to detach the network from its
 // arena. Installing an arena does not change any numeric result — arena
-// buffers are zero-filled exactly like fresh ones.
+// buffers are zero-filled exactly like fresh ones, except write-once
+// handouts, whose every element the layer overwrites.
 func InstallArena(l Layer, a *tensor.Arena) {
 	Walk(l, func(layer Layer) {
 		if u, ok := layer.(arenaUser); ok {

@@ -54,6 +54,40 @@ func TestReLUForward(t *testing.T) {
 	if x.At(0) != -1 {
 		t.Fatal("ReLU mutated input")
 	}
+
+	// Bit-level pins for the branch-free selects. Forward keeps x unless
+	// x <= 0, so NaNs of either sign survive and −0 becomes +0; backward
+	// passes dout exactly (a −0 included) where out > 0 and writes +0
+	// elsewhere, a NaN output included. Each case runs without an arena
+	// and on a pooled arena whose write-once handouts arrive NaN-filled.
+	negZero := math.Copysign(0, -1)
+	nan, inf := math.NaN(), math.Inf(1)
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	in := []float64{-1, 0, negZero, 2, nan, negNaN, inf, -inf, 5e-324, -5e-324, 3}
+	wantOut := []float64{0, 0, 0, 2, nan, negNaN, inf, 0, 5e-324, 0, 3}
+	dout := []float64{7, 7, 7, negZero, 7, 7, 4, 7, 6, 7, -2}
+	wantDx := []float64{0, 0, 0, negZero, 0, 0, 4, 0, 6, 0, -2}
+	sameBits := func(what string, got *tensor.Tensor, want []float64) {
+		t.Helper()
+		for i, w := range want {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+				t.Fatalf("%s[%d] (input %v) = %v, want %v", what, i, in[i], got.Data()[i], w)
+			}
+		}
+	}
+	for _, arena := range []bool{false, true} {
+		r := NewReLU()
+		if arena {
+			old := tensor.PoolingEnabled()
+			tensor.SetPooling(true)
+			tensor.SetPoisonWriteOnce(true)
+			InstallArena(r, tensor.NewArena())
+			defer tensor.SetPooling(old)
+			defer tensor.SetPoisonWriteOnce(false)
+		}
+		sameBits("forward", r.Forward(tensor.FromSlice(append([]float64(nil), in...), len(in)), true), wantOut)
+		sameBits("backward", r.Backward(tensor.FromSlice(append([]float64(nil), dout...), len(dout))), wantDx)
+	}
 }
 
 func TestDropoutInference(t *testing.T) {

@@ -36,7 +36,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D window %dx%d too large for %dx%d input", m.geom.KH, m.geom.KW, h, w))
 	}
-	out := m.alloc(n, c, oh, ow)
+	out := m.allocWriteOnce(n, c, oh, ow)
 	var arg []int
 	if training {
 		// Reuse the previous batch's argmax storage when it fits: every
@@ -131,7 +131,7 @@ func (g *GlobalAvgPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tenso
 		panic(fmt.Sprintf("nn: GlobalAvgPool2D expects [N,C,H,W], got %v", x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := g.alloc(n, c)
+	out := g.allocWriteOnce(n, c)
 	xd, od := x.Data(), out.Data()
 	area := float64(h * w)
 	// Batch-first sharding with per-image output rows; bit-identical at
@@ -159,7 +159,7 @@ func (g *GlobalAvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if g.inH == 0 {
 		panic("nn: GlobalAvgPool2D Backward before training Forward")
 	}
-	dx := g.alloc(g.inN, g.inC, g.inH, g.inW)
+	dx := g.allocWriteOnce(g.inN, g.inC, g.inH, g.inW)
 	dxd, dod := dx.Data(), dout.Data()
 	area := float64(g.inH * g.inW)
 	for img := 0; img < g.inN; img++ {

@@ -42,7 +42,7 @@ func (r *Residual) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if r.shortcut != nil {
 		s = r.shortcut.Forward(x, training)
 	}
-	sum := r.allocLike(m)
+	sum := r.allocWriteOnceLike(m)
 	copy(sum.Data(), m.Data())
 	sum.AddIn(s)
 	return r.relu.Forward(sum, training)

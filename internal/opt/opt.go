@@ -67,8 +67,8 @@ func (s *SGD) Step(params []*nn.Param) {
 			s.velocity[p] = v //tdfm:allow poolown the optimizer owns velocity state across Step calls; every buffer is returned by SGD.Release
 		}
 		for i := range w {
-			grad := g[i] + s.WeightDecay*w[i]
-			v[i] = s.Momentum*v[i] - s.lr*grad
+			grad := g[i] + float64(s.WeightDecay*w[i])
+			v[i] = float64(s.Momentum*v[i]) - float64(s.lr*grad)
 			w[i] += v[i]
 		}
 	}
@@ -136,9 +136,9 @@ func (a *Adam) Step(params []*nn.Param) {
 			a.v[p] = v //tdfm:allow poolown the optimizer owns second-moment state across Step calls; every buffer is returned by Adam.Release
 		}
 		for i := range w {
-			grad := g[i] + a.WeightDecay*w[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*grad
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*grad*grad
+			grad := g[i] + float64(a.WeightDecay*w[i])
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*grad)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*grad*grad)
 			mhat := m[i] / c1
 			vhat := v[i] / c2
 			w[i] -= a.lr * mhat / (math.Sqrt(vhat) + a.Eps)
@@ -169,7 +169,7 @@ func GradNorm(params []*nn.Param) float64 {
 	sum := 0.0
 	for _, p := range params {
 		for _, g := range p.Grad.Data() {
-			sum += g * g
+			sum += float64(g * g)
 		}
 	}
 	if math.IsNaN(sum) || math.IsInf(sum, 0) {

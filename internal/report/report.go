@@ -103,7 +103,7 @@ func Bar(label string, value, ci float64, width int) string {
 	if v > 1 {
 		v = 1
 	}
-	n := int(v*float64(width) + 0.5)
+	n := int(float64(v*float64(width)) + 0.5)
 	bar := strings.Repeat("█", n) + strings.Repeat("·", width-n)
 	if ci > 0 {
 		return fmt.Sprintf("%-8s |%s| %5.1f%% ±%.1f", label, bar, value*100, ci*100)

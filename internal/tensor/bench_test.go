@@ -180,6 +180,69 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
+// transformBenchLayer is a study conv layer's data movement at batch 32:
+// an [n, c, h, w] input unrolled through geometry g.
+type transformBenchLayer struct {
+	name       string
+	n, c, h, w int
+	g          ConvGeom
+}
+
+// transformBenchLayers are the layers the im2col/col2im rows measure: a
+// resnet50 stage-1 bottleneck 1×1 conv (8 channels on 12×12 maps, the
+// pointwise route) and a vgg16 block-1 3×3 conv (8 channels on 12×12
+// maps, same padding).
+var transformBenchLayers = []transformBenchLayer{
+	{"resnet50-1x1", 32, 8, 12, 12, ConvGeom{KH: 1, KW: 1, StrideH: 1, StrideW: 1}},
+	{"vgg16-3x3", 32, 8, 12, 12, ConvGeom{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+}
+
+// transforms names the two data movements of one conv layer: im2col in
+// the forward pass, col2im in the backward pass.
+var transforms = []string{"im2col", "col2im"}
+
+// elems is the size of the layer's im2col matrix, the element count
+// both transforms move.
+func (l transformBenchLayer) elems() int {
+	oh, ow := l.g.OutSize(l.h, l.w)
+	return l.n * oh * ow * l.c * l.g.KH * l.g.KW
+}
+
+// benchTransform times one transform of layer l on one worker, into a
+// destination reused across iterations as the arena reuses it, and
+// reports nanoseconds per element of the im2col matrix.
+func benchTransform(b *testing.B, l transformBenchLayer, transform string) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(1)
+	rng := xrand.New(19).Split("bench-transform")
+	x := randTensor(rng.Split("x"), l.n, l.c, l.h, l.w)
+	cols := Im2Col(x, l.g)
+	var run func()
+	switch transform {
+	case "im2col":
+		run = func() { Im2ColInto(cols, x, l.g) }
+	case "col2im":
+		run = func() { Col2ImInto(x, cols, l.g) }
+	default:
+		b.Fatalf("unknown transform %q", transform)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l.elems()), "ns/elem")
+}
+
+// BenchmarkConvTransforms measures im2col and col2im per element of the
+// column matrix on the study layers.
+func BenchmarkConvTransforms(b *testing.B) {
+	for _, l := range transformBenchLayers {
+		for _, tr := range transforms {
+			b.Run(fmt.Sprintf("%s/%s", l.name, tr), func(b *testing.B) { benchTransform(b, l, tr) })
+		}
+	}
+}
+
 // benchAllocConv measures the batched conv through the pool-aware path
 // with pooling forced on or off. One warm-up call primes the pool so the
 // pooled leg reports its steady state rather than first-touch misses.
@@ -369,6 +432,15 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 				func(b *testing.B) { benchGemm(b, l, product) })
 			r.GFLOPS = l.flops() / r.NsPerRow
 			f.Benchmarks = append(f.Benchmarks, r)
+		}
+	}
+
+	// Data-movement rows: ns_per_row is nanoseconds per element of the
+	// layer's im2col matrix, on one worker.
+	for _, l := range transformBenchLayers {
+		for _, tr := range transforms {
+			f.Benchmarks = append(f.Benchmarks, measureRows(fmt.Sprintf("%s/%s/%dx%dx%dx%d", tr, l.name, l.n, l.c, l.h, l.w), l.elems(),
+				func(b *testing.B) { benchTransform(b, l, tr) }))
 		}
 	}
 

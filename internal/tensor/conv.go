@@ -52,11 +52,12 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	return cols
 }
 
-// Im2ColInto is Im2Col with caller-owned output storage: dst must be a
-// zero-filled [N*OH*OW, C*KH*KW] tensor (as returned by New, NewPooled, or
-// Arena.Tensor — padded positions rely on the zeros). It returns dst and
-// panics on a non-[N,C,H,W] input, degenerate geometry, or a destination
-// of the wrong shape.
+// Im2ColInto is Im2Col with caller-owned output storage: dst must be an
+// [N*OH*OW, C*KH*KW] tensor, whose every element is overwritten (padded
+// positions get +0), so its prior contents do not matter — an
+// Arena.WriteOnce handout will do. It returns dst and panics on a
+// non-[N,C,H,W] input, degenerate geometry, or a destination of the
+// wrong shape.
 func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col needs [N,C,H,W], got %v", x.Shape()))
@@ -89,10 +90,12 @@ func Col2Im(cols *Tensor, n, c, h, w int, g ConvGeom) *Tensor {
 	return x
 }
 
-// Col2ImInto is Col2Im with caller-owned output storage: dst must be a
-// zero-filled [N,C,H,W] tensor (the scatter accumulates into it). The
-// geometry is taken from dst's shape. It returns dst and panics on a
-// column matrix that does not match dst's shape and geometry.
+// Col2ImInto is Col2Im with caller-owned output storage: dst is an
+// [N,C,H,W] tensor whose every element is overwritten — the kernel clears
+// each image before scattering into it, so its prior contents do not
+// matter. The geometry is taken from dst's shape. It returns dst and
+// panics on a column matrix that does not match dst's shape and
+// geometry.
 func Col2ImInto(dst, cols *Tensor, g ConvGeom) *Tensor {
 	if dst.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Col2ImInto needs an [N,C,H,W] destination, got %v", dst.Shape()))

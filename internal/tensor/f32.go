@@ -126,9 +126,9 @@ func (f *F32) MatMulInto(dst, u *F32) *F32 {
 	return dst
 }
 
-// Im2ColF32Into unrolls x, an [N,C,H,W] float32 tensor, into dst, a
-// zero-filled [N*OH*OW, C*KH*KW] float32 matrix (see Im2ColInto). It
-// returns dst.
+// Im2ColF32Into unrolls x, an [N,C,H,W] float32 tensor, into dst, an
+// [N*OH*OW, C*KH*KW] float32 matrix whose every element is overwritten
+// (see Im2ColInto). It returns dst.
 func Im2ColF32Into(dst, x *F32, g ConvGeom) *F32 {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col needs [N,C,H,W], got %v", x.Shape()))

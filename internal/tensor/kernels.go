@@ -53,9 +53,18 @@ import "tdfm/internal/parallel"
 // closure allocation, which keeps the training loop's steady-state
 // allocation count flat.
 //
-// Kernels that accumulate (gemm, gemmTransA, col2im) or rely on implicit
-// zero padding (im2col) require a zero-filled destination, exactly what
-// New, NewPooled, GetBuf, and the Arena allocators return.
+// Kernels own the initialization of what they write. The accumulating
+// products (gemm, gemmTransA) and sumRows add into their destination and
+// need it zero-filled, as New, NewPooled, GetBuf and the zero-filling
+// Arena handouts return it. Every other kernel writes each destination
+// element itself and accepts any prior contents, an Arena.WriteOnce
+// handout included: gemmTransB overwrites, the AVX2 gemmTransBF64 clears
+// before it accumulates, im2col writes +0 into padded positions, col2im
+// clears each image inside its shard before scattering into it, and the
+// layout transforms (nchwToRows, rowsToNCHW) copy. A 1×1 stride-1
+// unpadded im2col is exactly nchwToRows and runs as it; the matching
+// col2im is the inverse transpose storing +0 + v, the sum a cleared
+// destination would hold, so a −0 entry still comes out +0.
 
 // element constrains the storage scalar types the kernels support.
 type element interface {
@@ -258,30 +267,57 @@ func gemmTransB[E element](dst, a, b []E, m, k, n int) {
 	gemmTransBRange(dst, a, b, k, n, 0, m)
 }
 
-// im2colRange unrolls the image window [imgLo, imgHi).
+// pointwise reports whether g is a 1×1 stride-1 unpadded window, whose
+// im2col matrix is exactly the position-major rows of its input: im2col
+// runs as nchwToRows and col2im as col2imPointwiseRange.
+func (g ConvGeom) pointwise() bool {
+	return g.KH == 1 && g.KW == 1 && g.StrideH == 1 && g.StrideW == 1 && g.PadH == 0 && g.PadW == 0
+}
+
+// im2colRange unrolls the image window [imgLo, imgHi), writing every
+// element of its rows: positions in the padding get +0. It walks one
+// kernel row of one channel across a whole output row at a time, reading
+// from a copy of the input row with its zero padding attached, so no
+// element needs a bounds test. The copy lives on the stack for rows up
+// to 256 padded elements wide.
 func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+	if g.pointwise() {
+		nchwToRowsRange(dst, x, c, h, w, imgLo, imgHi)
+		return
+	}
+	kw, sw := g.KW, g.StrideW
+	var stack [256]E
+	padded := stack[:]
+	if wp := w + 2*g.PadW; wp <= len(stack) {
+		padded = padded[:wp]
+	} else {
+		padded = make([]E, wp)
+	}
+	inner := padded[g.PadW : g.PadW+w]
 	for img := imgLo; img < imgHi; img++ {
-		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*g.StrideW - g.PadW
-				row := ((img*oh+oy)*ow + ox) * colStride
-				for ch := 0; ch < c; ch++ {
-					chBase := base + ch*h*w
-					for ky := 0; ky < g.KH; ky++ {
-						iy := iy0 + ky
-						dstOff := row + (ch*g.KH+ky)*g.KW
-						if iy < 0 || iy >= h {
-							continue // leave zeros
+			band := dst[(img*oh+oy)*ow*colStride : (img*oh+oy+1)*ow*colStride]
+			for ch := 0; ch < c; ch++ {
+				for ky := 0; ky < g.KH; ky++ {
+					col := (ch*g.KH + ky) * kw
+					if iy := iy0 + ky; iy < 0 || iy >= h {
+						clear(inner)
+					} else {
+						// A loop, not copy: rows are a few elements
+						// wide, and a memmove call costs more than it moves.
+						row := x[((img*c+ch)*h+iy)*w:]
+						row = row[:len(inner)]
+						for i, v := range row {
+							inner[i] = v
 						}
-						src := chBase + iy*w
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dst[dstOff+kx] = x[src+ix]
+					}
+					for ox := 0; ox < ow; ox++ {
+						seg := band[ox*colStride+col : ox*colStride+col+kw]
+						src := padded[ox*sw:]
+						src = src[:len(seg)]
+						for kx, v := range src {
+							seg[kx] = v
 						}
 					}
 				}
@@ -291,8 +327,8 @@ func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGe
 }
 
 // im2colKernel unrolls x [n,c,h,w] into receptive-field rows
-// [n*oh*ow, c*KH*KW], sharded by image. dst must be zero-filled: padded
-// positions are simply left untouched.
+// [n*oh*ow, c*KH*KW], sharded by image. Every destination element is
+// overwritten.
 func im2colKernel[E element](dst, x []E, n, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
@@ -305,31 +341,67 @@ func im2colKernel[E element](dst, x []E, n, c, h, w int, g ConvGeom) {
 	im2colRange(dst, x, c, h, w, oh, ow, colStride, g, 0, n)
 }
 
-// col2imRange scatters the image window [imgLo, imgHi).
+// interiorCols returns the output columns [lo, hi) whose windows lie
+// wholly inside an input row of width w; the columns outside it reach
+// into the padding.
+func (g ConvGeom) interiorCols(w, ow int) (lo, hi int) {
+	lo = min((g.PadW+g.StrideW-1)/g.StrideW, ow)
+	hi = lo
+	if last := w + g.PadW - g.KW; last >= 0 {
+		hi = max(min(last/g.StrideW+1, ow), lo)
+	}
+	return lo, hi
+}
+
+// kernelSpan returns the kernel columns [lo, hi) of a window starting at
+// input column x0 that fall inside a row of width w; columns outside the
+// span lie in the zero padding.
+func kernelSpan(x0, w, kw int) (lo, hi int) {
+	lo = min(max(-x0, 0), kw)
+	hi = max(min(w-x0, kw), lo)
+	return lo, hi
+}
+
+// col2imRange clears, then scatters into, the image window [imgLo,
+// imgHi), walking the rows in im2colRange's order. Each element sums its
+// contributions from +0 in ascending output position, the order of the
+// position-major loop, whatever the destination held before. Unlike
+// im2colRange it splits each row into edge and interior windows rather
+// than padding a copy of the row: copying the accumulated row in and out
+// measured slower than the edge tests it saves.
 func col2imRange[E element](dst, cols []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+	if g.pointwise() {
+		col2imPointwiseRange(dst, cols, c, h*w, imgLo, imgHi)
+		return
+	}
+	kw, sw := g.KW, g.StrideW
+	oxLo, oxHi := g.interiorCols(w, ow)
 	for img := imgLo; img < imgHi; img++ {
-		base := img * c * h * w
+		clear(dst[img*c*h*w : (img+1)*c*h*w])
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*g.StrideH - g.PadH
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*g.StrideW - g.PadW
-				row := ((img*oh+oy)*ow + ox) * colStride
-				for ch := 0; ch < c; ch++ {
-					chBase := base + ch*h*w
-					for ky := 0; ky < g.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
+			band := cols[(img*oh+oy)*ow*colStride : (img*oh+oy+1)*ow*colStride]
+			for ch := 0; ch < c; ch++ {
+				for ky := 0; ky < g.KH; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					col := (ch*g.KH + ky) * kw
+					row := dst[((img*c+ch)*h+iy)*w : ((img*c+ch)*h+iy+1)*w]
+					for ox := 0; ox < oxLo; ox++ {
+						col2imEdge(row, band[ox*colStride+col:ox*colStride+col+kw], ox*sw-g.PadW)
+					}
+					for ox := oxLo; ox < oxHi; ox++ {
+						seg := band[ox*colStride+col : ox*colStride+col+kw]
+						out := row[ox*sw-g.PadW:]
+						out = out[:len(seg)]
+						for kx, v := range seg {
+							out[kx] += v
 						}
-						src := row + (ch*g.KH+ky)*g.KW
-						dstOff := chBase + iy*w
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dst[dstOff+ix] += cols[src+kx]
-						}
+					}
+					for ox := oxHi; ox < ow; ox++ {
+						col2imEdge(row, band[ox*colStride+col:ox*colStride+col+kw], ox*sw-g.PadW)
 					}
 				}
 			}
@@ -337,8 +409,37 @@ func col2imRange[E element](dst, cols []E, c, h, w, oh, ow, colStride int, g Con
 	}
 }
 
-// col2imKernel scatters (accumulating on overlap) column rows back into a
-// zero-filled [n,c,h,w] destination, sharded by image.
+// col2imEdge adds seg, one kernel row of a window starting at column x0
+// that reaches into the padding, into the output row, dropping the
+// padded columns.
+func col2imEdge[E element](row, seg []E, x0 int) {
+	lo, hi := kernelSpan(x0, len(row), len(seg))
+	for kx := lo; kx < hi; kx++ {
+		row[x0+kx] += seg[kx]
+	}
+}
+
+// col2imPointwiseRange is col2imRange for a pointwise geometry, where
+// each destination element receives exactly one term: it transposes each
+// image's [h·w, c] rows into its c planes, storing +0 + v, the sum a
+// cleared destination would hold, so a −0 term still comes out +0.
+func col2imPointwiseRange[E element](dst, cols []E, c, hw, imgLo, imgHi int) {
+	for img := imgLo; img < imgHi; img++ {
+		in := cols[img*hw*c : (img+1)*hw*c]
+		for ch := 0; ch < c; ch++ {
+			plane := dst[(img*c+ch)*hw : (img*c+ch+1)*hw]
+			i := ch
+			for p := range plane {
+				plane[p] = 0 + in[i]
+				i += c
+			}
+		}
+	}
+}
+
+// col2imKernel scatters (accumulating on overlap) column rows back into
+// an [n,c,h,w] destination, sharded by image. Every destination element
+// is overwritten.
 func col2imKernel[E element](dst, cols []E, n, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
@@ -351,15 +452,18 @@ func col2imKernel[E element](dst, cols []E, n, c, h, w int, g ConvGeom) {
 	col2imRange(dst, cols, c, h, w, oh, ow, colStride, g, 0, n)
 }
 
-// rowsToNCHWRange converts the image window [imgLo, imgHi).
+// rowsToNCHWRange converts the image window [imgLo, imgHi): each
+// image's [oh·ow, c] rows transpose into its c planes.
 func rowsToNCHWRange[E element](dst, rows []E, c, oh, ow, imgLo, imgHi int) {
+	hw := oh * ow
 	for img := imgLo; img < imgHi; img++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				row := ((img*oh+y)*ow + x) * c
-				for ch := 0; ch < c; ch++ {
-					dst[((img*c+ch)*oh+y)*ow+x] = rows[row+ch]
-				}
+		in := rows[img*hw*c : (img+1)*hw*c]
+		for ch := 0; ch < c; ch++ {
+			plane := dst[(img*c+ch)*hw : (img*c+ch+1)*hw]
+			i := ch
+			for p := range plane {
+				plane[p] = in[i]
+				i += c
 			}
 		}
 	}
@@ -376,14 +480,17 @@ func rowsToNCHWKernel[E element](dst, rows []E, n, c, oh, ow int) {
 	rowsToNCHWRange(dst, rows, c, oh, ow, 0, n)
 }
 
-// nchwToRowsRange converts the image window [imgLo, imgHi).
+// nchwToRowsRange converts the image window [imgLo, imgHi): each
+// image's c planes transpose into its [h·w, c] rows.
 func nchwToRowsRange[E element](dst, x []E, c, h, w, imgLo, imgHi int) {
+	hw := h * w
 	for img := imgLo; img < imgHi; img++ {
+		out := dst[img*hw*c : (img+1)*hw*c]
 		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				for xx := 0; xx < w; xx++ {
-					dst[((img*h+y)*w+xx)*c+ch] = x[((img*c+ch)*h+y)*w+xx]
-				}
+			o := ch
+			for _, v := range x[(img*c+ch)*hw : (img*c+ch+1)*hw] {
+				out[o] = v
+				o += c
 			}
 		}
 	}

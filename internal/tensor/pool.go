@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"strings"
@@ -35,7 +36,8 @@ import (
 const numBuckets = 34
 
 var (
-	poolEnabled atomic.Bool
+	poolEnabled     atomic.Bool
+	poisonWriteOnce atomic.Bool
 
 	pool64 [numBuckets]sync.Pool
 	pool32 [numBuckets]sync.Pool
@@ -73,6 +75,15 @@ func poolDisabledByEnv(v string) bool {
 // pooling off has no bucket capacity and must never reach PutBuf with
 // pooling back on.
 func SetPooling(on bool) { poolEnabled.Store(on) }
+
+// SetPoisonWriteOnce makes every pooled Arena.WriteOnce and WriteOnceLike
+// handout arrive filled with NaN instead of stale contents. It exists for
+// tests only: a layer that reads an element of a write-once destination
+// before writing it then turns its output NaN, which a comparison against
+// an unpooled run (whose write-once handouts are New's zeros) catches.
+// Like SetPooling, toggle it only while no arena is in use on another
+// goroutine.
+func SetPoisonWriteOnce(on bool) { poisonWriteOnce.Store(on) }
 
 // PoolingEnabled reports whether buffer pooling is active.
 func PoolingEnabled() bool { return poolEnabled.Load() }
@@ -119,10 +130,12 @@ func bucketIndex(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// getPooled serves a zero-filled slice of length n from the bucketed pool,
-// falling back to make. Generic over the two storage element types so the
-// float64 and float32 pools share one implementation.
-func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int) []E {
+// getPooled serves a slice of length n from the bucketed pool, falling
+// back to make. A reused buffer is cleared when zero is set and keeps its
+// stale contents otherwise; a fresh one is zero-filled either way. Generic
+// over the two storage element types so the float64 and float32 pools
+// share one implementation.
+func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
 	if n < 0 {
 		panic(fmt.Sprintf("tensor: GetBuf of negative size %d", n))
 	}
@@ -138,7 +151,9 @@ func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int)
 			*bp = nil
 			boxes.Put(bp)
 			buf := s[:n]
-			clear(buf)
+			if zero {
+				clear(buf)
+			}
 			poolHits.Add(1)
 			poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
 			return buf
@@ -193,7 +208,7 @@ func putPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, buf []
 // pooled and unpooled runs produce byte-identical numerics. Pass the
 // buffer to PutBuf when its lifetime ends, or simply drop it (the GC
 // reclaims unreturned buffers; the pool never leaks them into live data).
-func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n) }
+func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n, true) }
 
 // PutBuf returns a buffer obtained from GetBuf to the pool. It panics if
 // buf did not come from GetBuf (detected by a capacity that is not a pool
@@ -203,7 +218,7 @@ func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n) }
 func PutBuf(buf []float64) { putPooled(&pool64, &boxes64, buf) }
 
 // GetBuf32 is GetBuf for float32 storage (the inference precision mode).
-func GetBuf32(n int) []float32 { return getPooled[float32](&pool32, &boxes32, n) }
+func GetBuf32(n int) []float32 { return getPooled[float32](&pool32, &boxes32, n, true) }
 
 // PutBuf32 is PutBuf for float32 buffers, with the same foreign-buffer
 // panic contract.
@@ -245,11 +260,17 @@ func (t *Tensor) Release() {
 // inference path resets after every predicted chunk. Release returns all
 // storage to the global pool when the arena's owner is done.
 //
+// Two kinds of handout share the freelists. Buf, Buf32, Tensor,
+// TensorLike and F32 are zero-filled like make, for destinations that
+// accumulate (matrix products, column sums, scatters) or write only some
+// elements. WriteOnce and WriteOnceLike skip the fill and return stale
+// contents, for destinations whose every element the caller overwrites
+// before reading any: a recycled buffer then costs no memory pass.
+//
 // An Arena is not safe for concurrent use — it serves a single network,
 // and networks already require external serialization (see package nn).
 // Arena-backed tensors must never be individually Released, and callers
-// must not retain them across a Reset: the storage is rezeroed and handed
-// out again.
+// must not retain them across a Reset: the storage is handed out again.
 type Arena struct {
 	free64 [numBuckets][][]float64
 	live64 [numBuckets][][]float64
@@ -268,11 +289,12 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// arenaGet hands out a zero-filled length-n slice from the arena freelist,
-// falling back to the global pool; the buffer is tracked as live until the
-// next Reset. With pooling disabled it degrades to plain make and tracks
+// arenaGet hands out a length-n slice from the arena freelist, falling
+// back to the global pool; the buffer is tracked as live until the next
+// Reset. It is zero-filled when zero is set and holds stale contents
+// otherwise. With pooling disabled it degrades to plain make and tracks
 // nothing, restoring the reference allocation behaviour.
-func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int) []E {
+func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
 	if !poolEnabled.Load() {
 		poolMisses.Add(1)
 		return make([]E, n)
@@ -285,14 +307,16 @@ func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.
 		buf := free[b][l-1]
 		free[b] = free[b][:l-1]
 		buf = buf[:n]
-		clear(buf)
+		if zero {
+			clear(buf)
+		}
 		var elem E
 		poolHits.Add(1)
 		poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
 		live[b] = append(live[b], buf[:cap(buf)])
 		return buf
 	}
-	buf := getPooled[E](pools, boxes, n)
+	buf := getPooled[E](pools, boxes, n, zero)
 	live[b] = append(live[b], buf[:cap(buf)])
 	return buf
 }
@@ -300,19 +324,39 @@ func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.
 // Buf returns a zero-filled []float64 of length n owned by the arena
 // (reclaimed at the next Reset, like Tensor).
 func (a *Arena) Buf(n int) []float64 {
-	return arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n)
+	return arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, true)
 }
 
 // Buf32 is Buf for float32 storage.
 func (a *Arena) Buf32(n int) []float32 {
-	return arenaGet(&a.free32, &a.live32, &pool32, &boxes32, n)
+	return arenaGet(&a.free32, &a.live32, &pool32, &boxes32, n, true)
 }
 
 // Tensor returns a zero-filled tensor of the given shape backed by arena
 // storage. It is semantically identical to New; the storage is reclaimed
 // at the next Reset, so the result must not outlive it (copy anything that
 // escapes, e.g. with Clone).
-func (a *Arena) Tensor(shape ...int) *Tensor {
+func (a *Arena) Tensor(shape ...int) *Tensor { return a.tensor(shape, true) }
+
+// TensorLike returns a zero-filled arena tensor with x's shape, without
+// the intermediate shape copy an x.Shape() spread would allocate. Same
+// lifetime contract as Tensor.
+func (a *Arena) TensorLike(x *Tensor) *Tensor { return a.tensor(x.shape, true) }
+
+// WriteOnce returns an arena tensor of the given shape whose contents are
+// unspecified: a recycled buffer keeps whatever its last user wrote. The
+// caller must overwrite every element before reading any. With pooling
+// disabled it is exactly New. Same lifetime contract as Tensor.
+func (a *Arena) WriteOnce(shape ...int) *Tensor { return a.tensor(shape, false) }
+
+// WriteOnceLike is WriteOnce with x's shape, without the shape copy an
+// x.Shape() spread would allocate.
+func (a *Arena) WriteOnceLike(x *Tensor) *Tensor { return a.tensor(x.shape, false) }
+
+// tensor hands out an arena tensor, zero-filled when zero is set. A
+// write-once handout is filled with NaN instead while SetPoisonWriteOnce
+// is on.
+func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	n := checkShape(shape)
 	if !poolEnabled.Load() {
 		return New(shape...)
@@ -325,16 +369,15 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 	} else {
 		t = &Tensor{shape: append([]int(nil), shape...)}
 	}
-	t.data = a.Buf(n)
+	t.data = arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, zero)
+	if !zero && poisonWriteOnce.Load() {
+		nan := math.NaN()
+		for i := range t.data {
+			t.data[i] = nan
+		}
+	}
 	a.liveT = append(a.liveT, t)
 	return t
-}
-
-// TensorLike returns a zero-filled arena tensor with x's shape, without
-// the intermediate shape copy an x.Shape() spread would allocate. Same
-// lifetime contract as Tensor.
-func (a *Arena) TensorLike(x *Tensor) *Tensor {
-	return a.Tensor(x.shape...)
 }
 
 // F32 returns a zero-filled float32 tensor of the given shape backed by
@@ -359,7 +402,7 @@ func (a *Arena) F32(shape ...int) *F32 {
 
 // Reset recycles every live arena allocation onto the freelists. All
 // tensors and buffers previously handed out become invalid: their storage
-// will be rezeroed and reissued by subsequent allocations. Callers invoke
+// will be reissued by subsequent allocations. Callers invoke
 // it at points where nothing from the previous round is referenced (after
 // an optimizer step, after an inference chunk's result has been copied
 // out).

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +148,57 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 			}
 		}
 		a.Release()
+	})
+}
+
+// TestArenaWriteOnce pins the write-once handout: a recycled buffer
+// keeps its stale contents (no zero fill) and counts as a hit, the
+// poison hook fills it with NaN instead, a later zero-filled handout of
+// the same storage is clean again, and with pooling off it is New.
+func TestArenaWriteOnce(t *testing.T) {
+	withPooling(t, true, func() {
+		a := NewArena()
+		x := a.WriteOnce(4, 4)
+		x.Fill(2.5)
+		a.Reset()
+		ResetStats()
+		y := a.WriteOnceLike(x)
+		if y.Dims() != 2 || y.Dim(0) != 4 || y.Dim(1) != 4 {
+			t.Fatalf("WriteOnceLike shape %v, want [4 4]", y.Shape())
+		}
+		if y.Data()[5] != 2.5 {
+			t.Fatalf("write-once handout was cleared: %v", y.Data()[5])
+		}
+		if s := Stats(); s.Hits != 1 || s.Misses != 0 {
+			t.Fatalf("write-once reuse not counted as a hit: %+v", s)
+		}
+
+		a.Reset()
+		SetPoisonWriteOnce(true)
+		p := a.WriteOnce(16)
+		SetPoisonWriteOnce(false)
+		for i, v := range p.Data() {
+			if !math.IsNaN(v) {
+				t.Fatalf("poisoned handout element %d = %v, want NaN", i, v)
+			}
+		}
+
+		a.Reset()
+		for i, v := range a.Tensor(4, 4).Data() {
+			if v != 0 {
+				t.Fatalf("zero-filled handout after a write-once one is dirty at %d: %v", i, v)
+			}
+		}
+		a.Release()
+	})
+	withPooling(t, false, func() {
+		SetPoisonWriteOnce(true)
+		defer SetPoisonWriteOnce(false)
+		for i, v := range NewArena().WriteOnce(3, 3).Data() {
+			if v != 0 {
+				t.Fatalf("unpooled write-once handout element %d = %v, want New's zero", i, v)
+			}
+		}
 	})
 }
 

@@ -63,13 +63,13 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
+	return lo + float64((hi-lo)*r.src.Float64())
 }
 
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.src.NormFloat64()
+	return mean + float64(std*r.src.NormFloat64())
 }
 
 // Perm returns a random permutation of [0, n).
@@ -95,14 +95,14 @@ func (r *RNG) Choice(n, k int) []int {
 // FillNormal fills dst with Gaussian samples of the given mean and std.
 func (r *RNG) FillNormal(dst []float64, mean, std float64) {
 	for i := range dst {
-		dst[i] = mean + std*r.src.NormFloat64()
+		dst[i] = mean + float64(std*r.src.NormFloat64())
 	}
 }
 
 // FillUniform fills dst with uniform samples in [lo, hi).
 func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
 	for i := range dst {
-		dst[i] = lo + (hi-lo)*r.src.Float64()
+		dst[i] = lo + float64((hi-lo)*r.src.Float64())
 	}
 }
 
