@@ -95,8 +95,10 @@ bench:
 	go test -bench=. -benchmem -timeout 120m ./...
 
 # Serving/tensor benchmark trajectory: regenerate the committed
-# BENCH_serve.json (single vs batched dispatch at B=1/8/32/128) and
-# BENCH_tensor.json (batched vs per-example Im2Col+MatMul) baselines.
+# BENCH_serve.json (one B-row fan-out vs B one-row fan-outs and B
+# concurrent one-row requests at B=1/8/32/128, plus the 32-row memory
+# rows) and BENCH_tensor.json (batched vs per-example Im2Col+MatMul)
+# baselines.
 # SHORT=1 runs a trimmed grid into /tmp instead — the CI smoke mode,
 # which exercises the emission path without touching the committed
 # numbers (CI hardware is not "the same hardware").

@@ -281,6 +281,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-dataset", "nope"},
 		{"-technique", "nope"},
 		{"-precision", "f16"},
+		{"-batch-cap", "8"},
 		{"-watch"},       // requires -model
 		{"-shard"},       // requires -model
 		{"-member", "0"}, // requires -model

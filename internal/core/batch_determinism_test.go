@@ -1,14 +1,15 @@
 package core
 
-// The serving tier's micro-batcher stacks many requests into one forward
-// pass and demuxes the rows afterwards; that is only sound if inference
-// is batch-invariant at the bit level. This test pins the contract for
-// every study architecture: PredictProbs over any chunking of the same
-// rows — per-example, batch 3, the full batch — produces byte-identical
-// probabilities at every tested worker count. Each network runs on an
-// arena, as built models do, with every write-once handout filled with
-// NaN (tensor.SetPoisonWriteOnce): a layer that read a write-once
-// element before writing it would turn the probabilities NaN.
+// The serving tier answers a multi-row request with one forward pass, and
+// each row must get the answer it would get sent alone; that is only
+// sound if inference is batch-invariant at the bit level. This test pins
+// the contract for every study architecture: PredictProbs over any
+// chunking of the same rows — per-example, batch 3, the full batch —
+// produces byte-identical probabilities at every tested worker count.
+// Each network runs on an arena, as built models do, with every
+// write-once handout filled with NaN (tensor.SetPoisonWriteOnce): a layer
+// that read a write-once element before writing it would turn the
+// probabilities NaN.
 
 import (
 	"math"

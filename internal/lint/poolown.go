@@ -17,7 +17,7 @@ const tensorPkg = "tdfm/internal/tensor"
 // Ownership kinds a tracked value can have.
 const (
 	ownBuf      = iota // GetBuf/GetBuf32 slice: released by PutBuf/PutBuf32
-	ownTensor          // NewPooled/ConcatRowsPooled tensor: released by Release
+	ownTensor          // NewPooled tensor: released by Release
 	ownArenaVal        // Arena-allocated value: invalidated by its arena's Reset/Release
 )
 
@@ -51,10 +51,10 @@ type ownState map[string]ownEntry
 // PoolOwn enforces the pooled-buffer ownership contract on every
 // function, path-sensitively over the CFG engine:
 //
-//   - every tensor.GetBuf/GetBuf32 buffer and NewPooled/ConcatRowsPooled
-//     tensor must reach its release (PutBuf/PutBuf32, Release — directly
-//     or via defer) on every return path, unless ownership escapes by
-//     being returned;
+//   - every tensor.GetBuf/GetBuf32 buffer and NewPooled tensor must
+//     reach its release (PutBuf/PutBuf32, Release — directly or via
+//     defer) on every return path, unless ownership escapes by being
+//     returned;
 //   - no use after release, and no double release;
 //   - pooled values must not be stored into fields, globals, element
 //     stores, or channels, or be captured by closures — those escapes
@@ -505,8 +505,6 @@ func (a *ownAnalysis) origin(call *ast.CallExpr) (kind int, label, arena string,
 		return ownBuf, "tensor.GetBuf32", "", true
 	case isPkgCall(pkg, call, tensorPkg, "NewPooled"):
 		return ownTensor, "tensor.NewPooled", "", true
-	case isPkgCall(pkg, call, tensorPkg, "ConcatRowsPooled"):
-		return ownTensor, "tensor.ConcatRowsPooled", "", true
 	}
 	for _, m := range [...]string{"Buf", "Buf32", "Tensor", "TensorLike", "WriteOnce", "WriteOnceLike", "F32"} {
 		if methodOn(pkg, call, tensorPkg, "Arena", m) {

@@ -89,11 +89,6 @@ const (
 	// Event.Member names the member and Event.Detail the transition
 	// ("closed→open", "open→half-open", "half-open→closed", …).
 	KindBreakerChange
-	// KindBatchFlush reports the micro-batcher flushing one batch of
-	// admitted requests through a shared ensemble fan-out; Event.Key is
-	// the batch ID, Event.N the request count, and Event.Detail the flush
-	// reason plus row total ("window rows=12", "cap rows=32", …).
-	KindBatchFlush
 	// KindPoolStats reports a snapshot of the tensor buffer-pool reuse
 	// counters in Event.Detail ("pool-hit=… pool-miss=… pool-bytes=…"),
 	// emitted by the serving layer's Drain — at shutdown and on every
@@ -186,8 +181,6 @@ func (k Kind) String() string {
 		return "member-error"
 	case KindBreakerChange:
 		return "breaker-change"
-	case KindBatchFlush:
-		return "batch-flush"
 	case KindPoolStats:
 		return "pool-stats"
 	case KindPublish:
@@ -224,9 +217,8 @@ type Event struct {
 	// Dur is the training wall-clock for KindCellFinish and
 	// KindCellRestored.
 	Dur time.Duration
-	// N is the scheduled-cell count for KindGridPlan, the failed attempt
-	// number for KindCellRetry, and the batched request count for
-	// KindBatchFlush.
+	// N is the scheduled-cell count for KindGridPlan and the failed
+	// attempt number for KindCellRetry.
 	N int
 	// Err carries the failure for KindJournalError, failed KindCellFinish,
 	// and the cell-failure kinds (retry, panic, diverged, cancelled), plus

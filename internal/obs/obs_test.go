@@ -13,7 +13,7 @@ func TestKindString(t *testing.T) {
 		KindCacheMiss, KindCellRestored, KindJournalError,
 		KindCellRetry, KindCellPanic, KindCellDiverged, KindCellCancelled,
 		KindReqAdmit, KindReqShed, KindReqDone, KindMemberTimeout,
-		KindMemberPanic, KindMemberError, KindBreakerChange, KindBatchFlush,
+		KindMemberPanic, KindMemberError, KindBreakerChange,
 		KindPoolStats, KindPublish, KindSwap, KindMemberRestart}
 	seen := make(map[string]bool)
 	for _, k := range kinds {

@@ -2,19 +2,19 @@ package serve
 
 // Benchmarks for the serving hot path, at two levels:
 //
-//   - fanout: the dispatch core itself — one batched fan-out over
-//     [B, C, H, W] versus B single-example fan-outs, over three member
+//   - fanout: the dispatch core itself — one B-row request's fan-out
+//     over [B, C, H, W] versus B one-row fan-outs, over three member
 //     flavours: "stub" (constant rows; isolates the pure dispatch
-//     machinery that micro-batching amortizes — goroutine spawns,
+//     machinery a multi-row request amortizes — goroutine spawns,
 //     deadline timer, breaker bookkeeping, vote), "linear" (a minimal
 //     real network), and "convnet" (the study architecture at reduced
-//     width; compute-dominated, so it bounds what batching buys on a
-//     single core where the arithmetic is identical by construction).
+//     width; compute-dominated, so it bounds what multi-row requests
+//     buy on a single core where the arithmetic is identical by
+//     construction).
 //
-//   - predict: end to end through Predict — B concurrent one-row
-//     requests against a per-request server versus a micro-batching
-//     server whose cap is B, including admission, the batcher's
-//     submit/reply hops, and per-request demux.
+//   - predict: end to end through Predict, including admission — B
+//     concurrent one-row requests, and (for the memory rows) one
+//     32-row request, the serve-bulk workload's shape.
 //
 // The gated TestEmitServeBenchJSON runs the grid through
 // testing.Benchmark and writes the trajectory to TDFM_BENCH_OUT (the
@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tdfm/internal/core"
 	"tdfm/internal/data"
@@ -148,9 +147,8 @@ func benchInput(n int) *tensor.Tensor {
 	return x
 }
 
-// benchFanout measures the dispatch core: one batched fan-out over all
-// rows versus rows single-example fan-outs, on the calling goroutine
-// (the batcher's collect loop is exactly such a caller).
+// benchFanout measures the dispatch core: one fan-out over all rows
+// versus rows one-row fan-outs, on the calling goroutine.
 func benchFanout(b *testing.B, flavour string, rows int, batched bool) {
 	s, err := New(benchMembers(b, flavour, false), benchClasses, Options{QueueCapacity: rows + 1})
 	if err != nil {
@@ -180,15 +178,9 @@ func benchFanout(b *testing.B, flavour string, rows int, batched bool) {
 }
 
 // benchPredict measures end to end: reqs concurrent one-row requests per
-// iteration. batchCap 0 is the per-request path; batchCap reqs makes
-// every iteration's requests flush as one batch (the window is only a
-// backstop). arena selects arena-backed members (the alloc benchmarks).
-func benchPredict(b *testing.B, flavour string, reqs, batchCap int, arena bool) {
-	s, err := New(benchMembers(b, flavour, arena), benchClasses, Options{
-		QueueCapacity: reqs + 1,
-		BatchCap:      batchCap,
-		BatchWindow:   250 * time.Microsecond,
-	})
+// iteration.
+func benchPredict(b *testing.B, flavour string, reqs int) {
+	s, err := New(benchMembers(b, flavour, false), benchClasses, Options{QueueCapacity: reqs + 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,42 +208,32 @@ func benchPredict(b *testing.B, flavour string, reqs, batchCap int, arena bool) 
 	s.Drain()
 }
 
-// benchPredictPrecision measures the batched predict path through
-// real core members at the given serving precision. The f32-versus-f64
-// comparison is run with pooling disabled so the B/op column reflects
-// storage width alone, not how much of it the arena recycled.
-func benchPredictPrecision(b *testing.B, reqs int, p Precision) {
-	s, err := New(benchCoreMembers(b), benchClasses, Options{
-		QueueCapacity: reqs + 1,
-		BatchCap:      reqs,
-		BatchWindow:   250 * time.Microsecond,
-		Precision:     p,
-	})
+// benchBulk measures one rows-row request per iteration through
+// Predict — the serve-bulk workload's request shape — over members at
+// precision p.
+func benchBulk(b *testing.B, members []Member, rows int, p Precision) {
+	s, err := New(members, benchClasses, Options{Precision: p})
 	if err != nil {
 		b.Fatal(err)
 	}
-	xs := make([]*tensor.Tensor, reqs)
-	full := benchInput(reqs)
-	for i := range xs {
-		xs[i] = full.SliceRows(i, i+1)
-	}
+	x := benchInput(rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for j := 0; j < reqs; j++ {
-			wg.Add(1)
-			go func(x *tensor.Tensor) {
-				defer wg.Done()
-				if _, err := s.Predict(x); err != nil {
-					b.Error(err)
-				}
-			}(xs[j])
+		if _, err := s.Predict(x); err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.N*reqs)/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
 	s.Drain()
+}
+
+// benchPredictPrecision measures a rows-row request through real core
+// members at the given serving precision. The f32-versus-f64
+// comparison is run with pooling disabled so the B/op column reflects
+// storage width alone, not how much of it the arena recycled.
+func benchPredictPrecision(b *testing.B, rows int, p Precision) {
+	benchBulk(b, benchCoreMembers(b), rows, p)
 }
 
 // withPooling runs fn with the tensor buffer pool forced on or off,
@@ -279,41 +261,36 @@ func BenchmarkPredict(b *testing.B) {
 	for _, reqs := range benchSizes {
 		reqs := reqs
 		b.Run(fmt.Sprintf("convnet/single/b=%d", reqs),
-			func(b *testing.B) { benchPredict(b, "convnet", reqs, 0, false) })
-		cap := reqs
-		if cap < 2 {
-			cap = 2 // a cap of 1 disables batching; lone requests flush on the window
-		}
-		b.Run(fmt.Sprintf("convnet/batched/b=%d", reqs),
-			func(b *testing.B) { benchPredict(b, "convnet", reqs, cap, false) })
+			func(b *testing.B) { benchPredict(b, "convnet", reqs) })
 	}
 }
 
-// BenchmarkAllocPredict tracks the batched predict path's allocation
-// rate with the buffer pool on versus off (run with -benchmem; the
-// allocs/op and B/op columns are the point of this benchmark).
+// BenchmarkAllocPredict tracks the allocation rate of one 32-row
+// request over arena-backed members with the buffer pool on versus off
+// (run with -benchmem; the allocs/op and B/op columns are the point of
+// this benchmark).
 func BenchmarkAllocPredict(b *testing.B) {
-	const reqs = 32
+	const rows = 32
 	b.Run("pooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(true, func() { benchPredict(b, "convnet", reqs, reqs, true) })
+		withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), rows, PrecisionF64) })
 	})
 	b.Run("unpooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(false, func() { benchPredict(b, "convnet", reqs, reqs, true) })
+		withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), rows, PrecisionF64) })
 	})
 }
 
-// BenchmarkPredictPrecision compares f64 and f32 member storage on the
-// batched predict path, pooling disabled for both sides (see
+// BenchmarkPredictPrecision compares f64 and f32 member storage on one
+// 32-row request, pooling disabled for both sides (see
 // benchPredictPrecision).
 func BenchmarkPredictPrecision(b *testing.B) {
-	const reqs = 32
+	const rows = 32
 	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		p := p
-		b.Run(fmt.Sprintf("%s/b=%d", p, reqs), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/b=%d", p, rows), func(b *testing.B) {
 			b.ReportAllocs()
-			withPooling(false, func() { benchPredictPrecision(b, reqs, p) })
+			withPooling(false, func() { benchPredictPrecision(b, rows, p) })
 		})
 	}
 }
@@ -387,9 +364,11 @@ func measureAlloc(name string, rows int, fn func(b *testing.B)) benchRecord {
 	}
 }
 
-// TestEmitServeBenchJSON measures the single-versus-batched dispatch
-// trajectory and writes it to TDFM_BENCH_OUT. Gated: without the env var
-// the test skips, so ordinary test runs never spend benchmark time.
+// TestEmitServeBenchJSON measures the dispatch trajectory (one multi-row
+// fan-out versus one-row fan-outs, and concurrent one-row requests end
+// to end) plus the memory rows, and writes it to TDFM_BENCH_OUT. Gated:
+// without the env var the test skips, so ordinary test runs never spend
+// benchmark time.
 func TestEmitServeBenchJSON(t *testing.T) {
 	out := os.Getenv("TDFM_BENCH_OUT")
 	if out == "" {
@@ -424,29 +403,23 @@ func TestEmitServeBenchJSON(t *testing.T) {
 	}
 	for _, reqs := range sizes {
 		reqs := reqs
-		cap := reqs
-		if cap < 2 {
-			cap = 2
-		}
-		single := measure(fmt.Sprintf("predict/convnet/single/b=%d", reqs), reqs,
-			func(b *testing.B) { benchPredict(b, "convnet", reqs, 0, false) })
-		batched := measure(fmt.Sprintf("predict/convnet/batched/b=%d", reqs), reqs,
-			func(b *testing.B) { benchPredict(b, "convnet", reqs, cap, false) })
-		add("predict_convnet", single, batched, reqs)
+		f.Benchmarks = append(f.Benchmarks, measure(fmt.Sprintf("predict/convnet/single/b=%d", reqs), reqs,
+			func(b *testing.B) { benchPredict(b, "convnet", reqs) }))
 	}
 
-	// Memory rows. The pooled/unpooled pair tracks what buffer pooling
-	// saves on the batched predict path (allocs/op, B/op); the f64/f32
-	// pair tracks what float32 member storage saves on top, with pooling
-	// disabled for both sides so storage width is isolated.
+	// Memory rows, each one 32-row request per op. The pooled/unpooled
+	// pair tracks what buffer pooling saves on the predict path
+	// (allocs/op, B/op); the f64/f32 pair tracks what float32 member
+	// storage saves on top, with pooling disabled for both sides so
+	// storage width is isolated.
 	const allocReqs = 32
 	pooled := measureAlloc(fmt.Sprintf("alloc/predict/pooled/b=%d", allocReqs), allocReqs,
 		func(b *testing.B) {
-			withPooling(true, func() { benchPredict(b, "convnet", allocReqs, allocReqs, true) })
+			withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs, PrecisionF64) })
 		})
 	unpooled := measureAlloc(fmt.Sprintf("alloc/predict/unpooled/b=%d", allocReqs), allocReqs,
 		func(b *testing.B) {
-			withPooling(false, func() { benchPredict(b, "convnet", allocReqs, allocReqs, true) })
+			withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs, PrecisionF64) })
 		})
 	f.Benchmarks = append(f.Benchmarks, pooled, unpooled)
 	f.Speedups[fmt.Sprintf("predict_allocs_unpooled_vs_pooled_b%d", allocReqs)] =

@@ -18,21 +18,17 @@ type outcome struct {
 
 // dispatch fans a request out to every member whose breaker allows it,
 // collects answers until the per-member deadline, and builds the
-// degraded-quorum result. It is the single-request path; the batched
-// path (batcher.flush) shares fanout and vote but demuxes one fan-out
-// across many requests.
+// degraded-quorum result.
 func (s *Server) dispatch(reqID string, x *tensor.Tensor) (*Result, error) {
-	probs, reports := s.fanout(reqID, x)
-	return s.vote(probs, reports, 0, x.Dim(0))
+	return s.vote(s.fanout(reqID, x))
 }
 
-// fanout runs one batch of rows through every member whose breaker
+// fanout runs one request's rows through every member whose breaker
 // allows it, under the per-member deadline, and returns each member's
 // probability output ([N, K], nil for members that were skipped, timed
 // out, panicked, or errored) alongside the per-member fate reports.
-// Breakers are updated and member/breaker events emitted, keyed by key
-// (a request ID on the single-request path, a batch ID on the batched
-// path).
+// Breakers are updated and member/breaker events emitted, keyed by the
+// request ID.
 //
 // Determinism: members are dispatched, classified, and tallied in member
 // index order, and events are emitted only from this goroutine — so for
@@ -135,19 +131,16 @@ func (s *Server) fanout(key string, x *tensor.Tensor) ([]*tensor.Tensor, []Membe
 	return probs, reports
 }
 
-// vote builds the degraded-quorum Result for rows [lo, hi) of a fanout's
-// member outputs, or a *QuorumError when fewer than MinQuorum members
-// survived. The single-request path votes over the full row range; the
-// batched path votes once per request over that request's row slice.
-// Row slices are zero-copy views, and every member's probabilities are
-// row-independent, so a request's batched vote is bit-identical to the
-// vote it would have received dispatched alone (given the same member
-// fates).
-func (s *Server) vote(probs []*tensor.Tensor, reports []MemberReport, lo, hi int) (*Result, error) {
+// vote builds the degraded-quorum Result over a fanout's member outputs,
+// or a *QuorumError when fewer than MinQuorum members survived. Every
+// member's probabilities are row-independent, so each row of a
+// multi-row request votes bit-identically to the same row sent alone
+// (given the same member fates).
+func (s *Server) vote(probs []*tensor.Tensor, reports []MemberReport) (*Result, error) {
 	var alive []*tensor.Tensor
 	for _, p := range probs {
 		if p != nil {
-			alive = append(alive, p.SliceRows(lo, hi))
+			alive = append(alive, p)
 		}
 	}
 	n := len(s.members)

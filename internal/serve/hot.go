@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"strconv"
 	"sync"
 
 	"tdfm/internal/core"
@@ -28,23 +29,7 @@ func (m ModelInfo) Label() string {
 	if m.Version <= 0 {
 		return ""
 	}
-	return "v" + itoa(m.Version)
-}
-
-// itoa is strconv.Itoa for small positive ints without the import churn
-// in callers that build labels on event paths.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "v" + strconv.Itoa(m.Version)
 }
 
 // Hot is the atomic hot-swap front over a Server: requests route to the
@@ -141,12 +126,19 @@ func (h *Hot) Swap(next *Server) {
 // Drain retires the current generation for shutdown: stops admission,
 // waits out in-flight requests, and releases arenas. Requests arriving
 // afterwards fail with ErrDraining.
+//
+// Like Swap, Drain first installs a fresh generation over the same
+// Server, so late arrivals pin that one instead of the generation being
+// waited on: the wait covers a fixed set of requests and returns under
+// sustained load. Late arrivals reach the Server, whose own Drain
+// refuses them or waits them out.
 func (h *Hot) Drain() {
 	h.swapMu.Lock()
 	defer h.swapMu.Unlock()
-	h.mu.RLock()
+	h.mu.Lock()
 	g := h.gen
-	h.mu.RUnlock()
+	h.gen = &generation{srv: g.srv}
+	h.mu.Unlock()
 	g.wg.Wait() //tdfm:allow lockdiscipline swapMu only serializes Drain against concurrent Swap; requests go through h.mu (released above), so the wait cannot stall admission
 	g.srv.Drain()
 	g.srv.ReleaseArenas()
@@ -157,18 +149,11 @@ func (h *Hot) Drain() {
 // current when it arrived. A Swap mid-request completes only after the
 // request does.
 func (h *Hot) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
+	return routes(func(w http.ResponseWriter, r *http.Request, handle route) {
 		g := h.acquire()
 		defer g.wg.Done()
-		g.srv.handlePredict(w, r)
+		handle(g.srv, w, r)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		g := h.acquire()
-		defer g.wg.Done()
-		g.srv.handleHealth(w, r)
-	})
-	return mux
 }
 
 // ReleaseArenas returns every member's per-network activation arenas to

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +216,66 @@ func TestHotDrainRetiresCurrentGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Drain()
+	if _, err := h.Predict(batch()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("post-drain err = %v, want ErrDraining", err)
+	}
+}
+
+// TestHotDrainReturnsUnderSustainedLoad pins shutdown under load: while
+// clients keep sending, Drain still returns — late arrivals must not
+// join the wait it is blocked on — and every request after it fails
+// with ErrDraining.
+func TestHotDrainReturnsUnderSustainedLoad(t *testing.T) {
+	h := NewHot(hotServer(t, 1, "sha256:d1", nil))
+
+	const workers = 4
+	stop := make(chan struct{})
+	defer close(stop)
+	var served atomic.Int64
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := h.Predict(batch())
+				switch {
+				case errors.Is(err, ErrDraining):
+					return
+				case err != nil:
+					errs <- err
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	for served.Load() < 100 {
+		runtime.Gosched()
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		h.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return while clients kept sending")
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatalf("request failed before the drain refused it: %v", err)
+	default:
+	}
 	if _, err := h.Predict(batch()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain err = %v, want ErrDraining", err)
 	}

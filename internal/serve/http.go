@@ -86,9 +86,26 @@ type MemberHealthJSON struct {
 // Error mapping: malformed input → 400, load shedding (ErrOverloaded) →
 // 429, minimum-quorum failures and draining → 503.
 func (s *Server) Handler() http.Handler {
+	return routes(func(w http.ResponseWriter, r *http.Request, handle route) {
+		handle(s, w, r)
+	})
+}
+
+// route is one endpoint's handler, run against the Server a request is
+// pinned to.
+type route func(s *Server, w http.ResponseWriter, r *http.Request)
+
+// routes is the API's one route table, shared by Server.Handler and
+// Hot.Handler: pin resolves the Server a request runs against (and
+// holds it for the request's duration) before calling handle.
+func routes(pin func(w http.ResponseWriter, r *http.Request, handle route)) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", s.handlePredict)
-	mux.HandleFunc("/healthz", s.handleHealth)
+	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
+		pin(w, r, (*Server).handlePredict)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		pin(w, r, (*Server).handleHealth)
+	})
 	return mux
 }
 

@@ -26,6 +26,12 @@ func newHTTPServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
+// handlers returns s's HTTP API both ways it is served: directly and
+// through the hot-swap front. Every table below runs against each.
+func handlers(s *Server) []http.Handler {
+	return []http.Handler{s.Handler(), NewHot(s).Handler()}
+}
+
 // doJSON posts body to path and decodes the JSON reply into out.
 func doJSON(t *testing.T, h http.Handler, method, path, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
@@ -45,36 +51,37 @@ const twoInstances = `{"instances": [[0,0,0,0], [1,1,1,1]]}`
 func TestHTTPPredictOK(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
-	h := newHTTPServer(t, Options{}).Handler()
-	var resp PredictResponse
-	rec := doJSON(t, h, http.MethodPost, "/predict?probs=1", twoInstances, &resp)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
-	}
-	if len(resp.Predictions) != 2 || resp.Predictions[0] != 1 || resp.Predictions[1] != 1 {
-		t.Fatalf("predictions = %v, want [1 1]", resp.Predictions)
-	}
-	if resp.Quorum != "5/5" {
-		t.Fatalf("quorum = %q, want 5/5", resp.Quorum)
-	}
-	if len(resp.Members) != 5 || resp.Members[0].Name != "alpha" || resp.Members[0].Status != "ok" {
-		t.Fatalf("members = %+v", resp.Members)
-	}
-	if len(resp.Probs) != 2 || resp.Probs[0][1] != 0.45 {
-		t.Fatalf("probs = %v, want mean class-1 prob 0.45", resp.Probs)
-	}
-	// Without ?probs=1 the probs field is omitted.
-	var bare map[string]any
-	doJSON(t, h, http.MethodPost, "/predict", twoInstances, &bare)
-	if _, ok := bare["probs"]; ok {
-		t.Fatal("probs present without ?probs=1")
+	for _, h := range handlers(newHTTPServer(t, Options{})) {
+		var resp PredictResponse
+		rec := doJSON(t, h, http.MethodPost, "/predict?probs=1", twoInstances, &resp)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+		}
+		if len(resp.Predictions) != 2 || resp.Predictions[0] != 1 || resp.Predictions[1] != 1 {
+			t.Fatalf("predictions = %v, want [1 1]", resp.Predictions)
+		}
+		if resp.Quorum != "5/5" {
+			t.Fatalf("quorum = %q, want 5/5", resp.Quorum)
+		}
+		if len(resp.Members) != 5 || resp.Members[0].Name != "alpha" || resp.Members[0].Status != "ok" {
+			t.Fatalf("members = %+v", resp.Members)
+		}
+		if len(resp.Probs) != 2 || resp.Probs[0][1] != 0.45 {
+			t.Fatalf("probs = %v, want mean class-1 prob 0.45", resp.Probs)
+		}
+		// Without ?probs=1 the probs field is omitted.
+		var bare map[string]any
+		doJSON(t, h, http.MethodPost, "/predict", twoInstances, &bare)
+		if _, ok := bare["probs"]; ok {
+			t.Fatal("probs present without ?probs=1")
+		}
 	}
 }
 
 func TestHTTPPredictBadRequests(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
-	h := newHTTPServer(t, Options{}).Handler()
+	hs := handlers(newHTTPServer(t, Options{}))
 	cases := []struct {
 		name, method, body string
 		want               int
@@ -84,14 +91,16 @@ func TestHTTPPredictBadRequests(t *testing.T) {
 		{"empty batch", http.MethodPost, `{"instances": []}`, http.StatusBadRequest},
 		{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed},
 	}
-	for _, c := range cases {
-		var resp ErrorResponse
-		rec := doJSON(t, h, c.method, "/predict", c.body, &resp)
-		if rec.Code != c.want {
-			t.Fatalf("%s: status = %d, want %d (body %s)", c.name, rec.Code, c.want, rec.Body.String())
-		}
-		if resp.Error == "" {
-			t.Fatalf("%s: empty error message", c.name)
+	for _, h := range hs {
+		for _, c := range cases {
+			var resp ErrorResponse
+			rec := doJSON(t, h, c.method, "/predict", c.body, &resp)
+			if rec.Code != c.want {
+				t.Fatalf("%s: status = %d, want %d (body %s)", c.name, rec.Code, c.want, rec.Body.String())
+			}
+			if resp.Error == "" {
+				t.Fatalf("%s: empty error message", c.name)
+			}
 		}
 	}
 }
@@ -101,7 +110,6 @@ func TestHTTPPredictShedsWith429(t *testing.T) {
 	defer chaos.Reset()
 	clk := chaos.NewFake()
 	s := newHTTPServer(t, Options{Clock: clk, QueueCapacity: 1, MemberDeadline: 100 * time.Millisecond})
-	h := s.Handler()
 	// Hold the only slot with a direct request whose members sleep on the
 	// fake clock, then hit the API: it must shed immediately.
 	chaos.Arm("serve/member", "", chaos.Action{Delay: 50 * time.Millisecond})
@@ -112,9 +120,11 @@ func TestHTTPPredictShedsWith429(t *testing.T) {
 	}()
 	clk.BlockUntil(6)
 
-	rec := doJSON(t, h, http.MethodPost, "/predict", twoInstances, nil)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429 (body %s)", rec.Code, rec.Body.String())
+	for _, h := range handlers(s) {
+		rec := doJSON(t, h, http.MethodPost, "/predict", twoInstances, nil)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("status = %d, want 429 (body %s)", rec.Code, rec.Body.String())
+		}
 	}
 	clk.Advance(50 * time.Millisecond)
 	if err := <-done; err != nil {
@@ -125,17 +135,19 @@ func TestHTTPPredictShedsWith429(t *testing.T) {
 func TestHTTPPredictQuorumFailureIs503(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
-	h := newHTTPServer(t, Options{}).Handler()
+	s := newHTTPServer(t, Options{})
 	for _, pat := range []string{"/alpha", "/bravo", "/hangs", "/crash"} {
 		chaos.Arm("serve/member", pat, chaos.Action{Err: chaos.ErrInjected})
 	}
-	var resp ErrorResponse
-	rec := doJSON(t, h, http.MethodPost, "/predict", twoInstances, &resp)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body.String())
-	}
-	if resp.Quorum != "1/5" {
-		t.Fatalf("quorum = %q, want 1/5", resp.Quorum)
+	for _, h := range handlers(s) {
+		var resp ErrorResponse
+		rec := doJSON(t, h, http.MethodPost, "/predict", twoInstances, &resp)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body.String())
+		}
+		if resp.Quorum != "1/5" {
+			t.Fatalf("quorum = %q, want 1/5", resp.Quorum)
+		}
 	}
 }
 
@@ -143,24 +155,28 @@ func TestHTTPHealthz(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
 	s := newHTTPServer(t, Options{})
-	h := s.Handler()
-	var resp HealthResponse
-	rec := doJSON(t, h, http.MethodGet, "/healthz", "", &resp)
-	if rec.Code != http.StatusOK || resp.Status != "ok" {
-		t.Fatalf("healthz = %d %q", rec.Code, resp.Status)
-	}
-	if len(resp.Members) != 5 || resp.Members[2].Name != "hangs" || resp.Members[2].Breaker != "closed" {
-		t.Fatalf("members = %+v", resp.Members)
+	hs := handlers(s)
+	for _, h := range hs {
+		var resp HealthResponse
+		rec := doJSON(t, h, http.MethodGet, "/healthz", "", &resp)
+		if rec.Code != http.StatusOK || resp.Status != "ok" {
+			t.Fatalf("healthz = %d %q", rec.Code, resp.Status)
+		}
+		if len(resp.Members) != 5 || resp.Members[2].Name != "hangs" || resp.Members[2].Breaker != "closed" {
+			t.Fatalf("members = %+v", resp.Members)
+		}
 	}
 	s.Drain()
-	resp = HealthResponse{}
-	rec = doJSON(t, h, http.MethodGet, "/healthz", "", &resp)
-	if rec.Code != http.StatusServiceUnavailable || resp.Status != "draining" {
-		t.Fatalf("draining healthz = %d %q, want 503 draining", rec.Code, resp.Status)
-	}
-	// And the predict path refuses with 503 too.
-	rec = doJSON(t, h, http.MethodPost, "/predict", twoInstances, nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("predict during drain = %d, want 503", rec.Code)
+	for _, h := range hs {
+		resp := HealthResponse{}
+		rec := doJSON(t, h, http.MethodGet, "/healthz", "", &resp)
+		if rec.Code != http.StatusServiceUnavailable || resp.Status != "draining" {
+			t.Fatalf("draining healthz = %d %q, want 503 draining", rec.Code, resp.Status)
+		}
+		// And the predict path refuses with 503 too.
+		rec = doJSON(t, h, http.MethodPost, "/predict", twoInstances, nil)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("predict during drain = %d, want 503", rec.Code)
+		}
 	}
 }

@@ -150,17 +150,6 @@ type Options struct {
 	// BreakerCooldown is how long an open breaker waits before allowing
 	// a half-open probe. Default 10s.
 	BreakerCooldown time.Duration
-	// BatchCap enables micro-batching when > 1: admitted requests are
-	// collected until their summed row count reaches BatchCap (or the
-	// BatchWindow elapses), stacked into one [N, C, H, W] tensor, run
-	// through a single batched PredictProbs per member, and demuxed per
-	// request. 0 or 1 keeps the one-dispatch-per-request path. Default 0.
-	BatchCap int
-	// BatchWindow is how long the batcher waits for a batch to fill
-	// before flushing a partial one, measured on the injected Clock from
-	// the first request of the batch. Only consulted when BatchCap > 1.
-	// Default 2ms.
-	BatchWindow time.Duration
 	// Input is the expected per-sample shape (channels, height, width),
 	// used by the HTTP handler to validate and shape request payloads.
 	Input [3]int
@@ -198,9 +187,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 10 * time.Second
-	}
-	if o.BatchCap > 1 && o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
 	}
 	if o.Clock == nil {
 		o.Clock = chaos.Wall()
@@ -287,11 +273,6 @@ type Server struct {
 	slots chan struct{} // admission queue: one token per admitted request
 	seq   atomic.Uint64 // request ID counter
 
-	// batch is the micro-batching layer, nil when Options.BatchCap
-	// leaves batching off. Admitted requests park in it until the window
-	// or the cap flushes them through one shared fan-out.
-	batch *batcher
-
 	mu       sync.Mutex // guards draining against in-flight accounting
 	draining bool
 	inflight sync.WaitGroup
@@ -338,9 +319,6 @@ func New(members []Member, classes int, opts Options) (*Server, error) {
 	for i := range s.breakers {
 		s.breakers[i] = newBreaker(opts.Clock, opts.BreakerThreshold, opts.BreakerCooldown)
 	}
-	if opts.BatchCap > 1 {
-		s.batch = newBatcher(s)
-	}
 	return s, nil
 }
 
@@ -376,28 +354,14 @@ func (s *Server) Draining() bool {
 
 // Drain stops admitting requests (new calls to Predict fail with
 // ErrDraining) and blocks until every in-flight request has finished:
-// the cooperative half of SIGTERM shutdown. With batching enabled the
-// partial batch is flushed immediately — parked requests never wait out
-// a window that may no longer elapse — and the collect loop is shut
-// down once the last in-flight request has its answer. Drain is
-// idempotent and safe to call concurrently.
+// the cooperative half of SIGTERM shutdown. Drain is idempotent and
+// safe to call concurrently.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	first := !s.draining
 	s.draining = true
 	s.mu.Unlock()
-	if first && s.batch != nil {
-		close(s.batch.drain)
-	}
 	s.inflight.Wait()
-	if first && s.batch != nil {
-		// Every possible submitter held an inflight count, so the submit
-		// channel has no senders left and closing it stops the loop.
-		close(s.batch.submit)
-	}
-	if s.batch != nil {
-		<-s.batch.done
-	}
 	if first {
 		// One drain-time snapshot of the buffer pool's reuse counters: at
 		// shutdown operators read it to confirm pooling is paying off, and
@@ -415,16 +379,6 @@ func (s *Server) Drain() {
 // every member whose breaker allows it under the per-member deadline,
 // and returns the degraded-quorum vote, or a *QuorumError when fewer
 // than MinQuorum members survive.
-//
-// With batching enabled (Options.BatchCap > 1) the admitted request
-// parks in the micro-batcher — holding its admission slot, so the
-// QueueCapacity bound is unchanged — until the batch window or row cap
-// flushes it through one shared fan-out; its rows are then demuxed back
-// as this request's Result. Per-row outputs are bit-identical either
-// way; only latency and the members' per-batch (rather than
-// per-request) deadline accounting differ. The req-admit and req-done
-// events remain per-request on both paths, emitted from the request's
-// own goroutine.
 func (s *Server) Predict(x *tensor.Tensor) (*Result, error) {
 	// The request key only feeds obs events and chaos labels; formatting
 	// it is measurable on the hot path, so an unobserved server (no sink,
@@ -455,13 +409,7 @@ func (s *Server) Predict(x *tensor.Tensor) (*Result, error) {
 	}()
 
 	s.emit(obs.Event{Kind: obs.KindReqAdmit, Key: reqID})
-	var res *Result
-	var err error
-	if s.batch != nil {
-		res, err = s.batch.run(reqID, x)
-	} else {
-		res, err = s.dispatch(reqID, x)
-	}
+	res, err := s.dispatch(reqID, x)
 	if s.opts.Sink != nil {
 		done := obs.Event{Kind: obs.KindReqDone, Key: reqID, Err: err}
 		if res != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -71,6 +72,40 @@ func TestPredictFullQuorum(t *testing.T) {
 	if got := res.Probs.At(0, 1); got != 0.45 {
 		t.Fatalf("mean prob class 1 = %v, want 0.45", got)
 	}
+
+	// A k-row request votes each row bit-identically to k one-row
+	// requests over real networks. The serve-bulk benchmark's offline
+	// check relies on it: every row's answer must be independent of the
+	// rows it arrived with.
+	t.Run("rows match one-row requests bitwise", func(t *testing.T) {
+		s, err := New(realMembers(t, "convnet", "mobilenet", "convnet"), 3, Options{Clock: chaos.NewFake()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 5
+		x := tensor.New(k, 1, 8, 8)
+		for i := range x.Data() {
+			x.Data()[i] = float64(i%11)/11 - 0.5
+		}
+		all, err := s.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			one, err := s.Predict(x.SliceRows(i, i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Pred[0] != all.Pred[i] {
+				t.Fatalf("row %d: pred %d alone, %d in a %d-row request", i, one.Pred[0], all.Pred[i], k)
+			}
+			for j, v := range one.Probs.Row(0) {
+				if math.Float64bits(all.Probs.At(i, j)) != math.Float64bits(v) {
+					t.Fatalf("row %d probs[%d]: %v in a %d-row request != %v alone", i, j, all.Probs.At(i, j), k, v)
+				}
+			}
+		}
+	})
 }
 
 func TestDefaultMinQuorumIsMajority(t *testing.T) {

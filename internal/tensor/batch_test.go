@@ -74,42 +74,3 @@ func TestSliceRowsIsAView(t *testing.T) {
 		}()
 	}
 }
-
-func TestConcatRows(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 1, 2)
-	b := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
-	c := ConcatRows(a, b)
-	want := []float64{1, 2, 3, 4, 5, 6}
-	if c.Dim(0) != 3 || c.Dim(1) != 2 {
-		t.Fatalf("concat shape = %v", c.Shape())
-	}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Fatalf("concat data = %v, want %v", c.Data(), want)
-		}
-	}
-	// The result owns fresh storage.
-	c.Set(99, 0, 0)
-	if a.At(0, 0) != 1 {
-		t.Fatal("ConcatRows aliased its input")
-	}
-	// Round-trip with SliceRows: splitting and re-concatenating an
-	// [N, C, H, W] batch is the identity.
-	rng := xrand.New(3)
-	x := randTensor(rng, 5, 2, 3, 3)
-	rt := ConcatRows(x.SliceRows(0, 2), x.SliceRows(2, 3), x.SliceRows(3, 5))
-	for i, v := range rt.Data() {
-		if v != x.Data()[i] {
-			t.Fatal("SliceRows/ConcatRows round-trip changed data")
-		}
-	}
-	// Mismatched trailing dimensions panic.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ConcatRows with mismatched columns did not panic")
-			}
-		}()
-		ConcatRows(a, FromSlice([]float64{1, 2, 3}, 1, 3))
-	}()
-}

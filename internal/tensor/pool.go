@@ -226,8 +226,7 @@ func PutBuf32(buf []float32) { putPooled(&pool32, &boxes32, buf) }
 
 // NewPooled returns a zero-filled tensor like New, but with pool-backed
 // storage that Release returns for reuse. With pooling disabled it is
-// exactly New. The serving batcher uses it for the transient stacking
-// buffer of each micro-batch.
+// exactly New.
 func NewPooled(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if !poolEnabled.Load() {

@@ -169,10 +169,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 
 // SliceRows returns a view of rows [lo, hi) along the leading dimension:
 // shape [hi-lo, rest...] sharing t's backing storage (mutations are
-// visible both ways, like Reshape). The serving batcher and the chunked
-// inference path use it to address sub-batches of an [N, C, H, W] or
-// [N, K] tensor without copying. It panics on an invalid range or on a
-// 0-d leading dimension it cannot slice.
+// visible both ways, like Reshape). The chunked inference path uses it
+// to address sub-batches of an [N, C, H, W] or [N, K] tensor without
+// copying. It panics on an invalid range or on a 0-d leading dimension
+// it cannot slice.
 func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	if len(t.shape) == 0 {
 		panic("tensor: SliceRows on empty shape")
@@ -187,71 +187,6 @@ func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	shape := append([]int(nil), t.shape...)
 	shape[0] = hi - lo
 	return &Tensor{shape: shape, data: t.data[lo*stride : hi*stride : hi*stride]}
-}
-
-// ConcatRows stacks tensors along the leading dimension: parts with
-// shapes [n1, rest...], [n2, rest...], … yield a fresh tensor of shape
-// [n1+n2+…, rest...]. All trailing dimensions must match. The serving
-// batcher uses it to assemble one [N, C, H, W] micro-batch from admitted
-// per-request tensors.
-func ConcatRows(parts ...*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: ConcatRows needs at least one part")
-	}
-	rows := 0
-	for i, p := range parts {
-		if len(p.shape) != len(parts[0].shape) {
-			panic(fmt.Sprintf("tensor: ConcatRows rank mismatch %v vs %v", parts[0].shape, p.shape))
-		}
-		for d := 1; d < len(p.shape); d++ {
-			if p.shape[d] != parts[0].shape[d] {
-				panic(fmt.Sprintf("tensor: ConcatRows trailing-dimension mismatch %v vs %v (part %d)",
-					parts[0].shape, p.shape, i))
-			}
-		}
-		rows += p.shape[0]
-	}
-	shape := append([]int(nil), parts[0].shape...)
-	shape[0] = rows
-	out := New(shape...)
-	concatRowsInto(out, parts)
-	return out
-}
-
-// ConcatRowsPooled is ConcatRows with pool-backed output storage (see
-// NewPooled): the caller owns the result and should Release it when the
-// last reader is done. The serving batcher stacks each micro-batch into
-// one and releases it after the fan-out completes.
-func ConcatRowsPooled(parts ...*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: ConcatRows needs at least one part")
-	}
-	rows := 0
-	for i, p := range parts {
-		if len(p.shape) != len(parts[0].shape) {
-			panic(fmt.Sprintf("tensor: ConcatRows rank mismatch %v vs %v", parts[0].shape, p.shape))
-		}
-		for d := 1; d < len(p.shape); d++ {
-			if p.shape[d] != parts[0].shape[d] {
-				panic(fmt.Sprintf("tensor: ConcatRows trailing-dimension mismatch %v vs %v (part %d)",
-					parts[0].shape, p.shape, i))
-			}
-		}
-		rows += p.shape[0]
-	}
-	shape := append([]int(nil), parts[0].shape...)
-	shape[0] = rows
-	out := NewPooled(shape...)
-	concatRowsInto(out, parts)
-	return out
-}
-
-// concatRowsInto copies the validated parts into out's storage in order.
-func concatRowsInto(out *Tensor, parts []*Tensor) {
-	off := 0
-	for _, p := range parts {
-		off += copy(out.data[off:], p.data)
-	}
 }
 
 // Zero sets every element to 0 in place.
