@@ -117,17 +117,18 @@ endif
 
 # Memory benchmarks (DESIGN.md §10): pooled vs unpooled allocation rates
 # for the training loop, the serving predict path, and the conv kernels,
-# plus the f64 vs f32 inference comparison. The allocs/op and B/op
+# plus the fresh storage of a conv pass and of a request through core
+# members with pooling off. The allocs/op and B/op
 # columns are the point — EXPERIMENTS.md quotes them. SHORT=1 caps each
 # benchmark at a few iterations: the CI smoke mode, which proves the
 # benchmarks still run without paying for stable numbers.
 bench-mem:
 ifdef SHORT
-	go test -run '^$$' -bench '^BenchmarkAlloc|^BenchmarkConvPrecision|^BenchmarkPredictPrecision' \
+	go test -run '^$$' -bench '^BenchmarkAlloc|^BenchmarkConvUnpooled|^BenchmarkPredictCore' \
 	    -benchmem -benchtime 2x -timeout 30m \
 	    ./internal/core/ ./internal/serve/ ./internal/tensor/
 else
-	go test -run '^$$' -bench '^BenchmarkAlloc|^BenchmarkConvPrecision|^BenchmarkPredictPrecision' \
+	go test -run '^$$' -bench '^BenchmarkAlloc|^BenchmarkConvUnpooled|^BenchmarkPredictCore' \
 	    -benchmem -timeout 60m \
 	    ./internal/core/ ./internal/serve/ ./internal/tensor/
 endif

@@ -36,16 +36,14 @@
 //
 // Serving flags (all modes): [-member-deadline 2s] [-min-quorum 0]
 // [-queue 64] [-breaker-threshold 3] [-breaker-cooldown 10s]
-// [-precision f64|f32] [-workers W]
+// [-workers W]
 //
 // Every request is dispatched on its own: one fan-out over the members
-// per request, however many rows it carries (DESIGN.md §9).
-//
-// -precision=f32 converts the model's weights to float32 once at load.
-// Predicted classes are unchanged (DESIGN.md §10), but it is a
-// trade-off, not a free win: on a two-core x86-64 host, 32-row bulk
-// load runs with about 40% lower RSS and 12–35% lower throughput
-// (DESIGN.md §10 has the measurements).
+// per request, however many rows it carries (DESIGN.md §9). Inference
+// runs in float64, the precision the model was trained in; each member's
+// forward pass recycles dead activations as it goes, so a member holds
+// its largest layer's working set rather than every activation of the
+// pass (DESIGN.md §10).
 //
 // The API:
 //
@@ -115,7 +113,6 @@ func run(args []string, ready chan<- string) error {
 		queue       = fs.Int("queue", 64, "admission queue capacity; overflow is shed with 429")
 		brThreshold = fs.Int("breaker-threshold", 3, "consecutive member failures that open its breaker")
 		brCooldown  = fs.Duration("breaker-cooldown", 10*time.Second, "open-breaker wait before a half-open probe")
-		precision   = fs.String("precision", "f64", "inference storage precision: f64|f32 (training is always f64; f32 cuts bulk-load RSS by about 40% but costs 12-35% of throughput; votes match f64 unless logits nearly tie)")
 		modelDir    = fs.String("model", "", "model registry directory: serve a published artifact instead of training at boot")
 		modelVer    = fs.Int("model-version", 0, "registry version to serve (0 = latest; requires -model)")
 		watch       = fs.Bool("watch", false, "poll the registry and hot-swap to newly published versions (requires -model)")
@@ -142,13 +139,6 @@ func run(args []string, ready chan<- string) error {
 	if *workersN < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workersN)
 	}
-	// Reject bad precision before spending minutes training; serve.New
-	// validates again for library callers.
-	switch serve.Precision(*precision) {
-	case serve.PrecisionF64, serve.PrecisionF32:
-	default:
-		return fmt.Errorf("unknown precision %q (want %s or %s)", *precision, serve.PrecisionF64, serve.PrecisionF32)
-	}
 	workers := *workersN
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -163,7 +153,6 @@ func run(args []string, ready chan<- string) error {
 		QueueCapacity:    *queue,
 		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
-		Precision:        serve.Precision(*precision),
 		Clock:            clock,
 		Sink:             logSink{},
 	}
@@ -180,7 +169,7 @@ func run(args []string, ready chan<- string) error {
 	var hot *serve.Hot
 	switch {
 	case *shard:
-		srv, man, sups, err := buildShard(*modelDir, *modelVer, opts, *precision, clock)
+		srv, man, sups, err := buildShard(*modelDir, *modelVer, opts, clock)
 		if err != nil {
 			return err
 		}
@@ -310,7 +299,7 @@ func watchLoop(hot *serve.Hot, dir string, after, memberIdx int, opts serve.Opti
 // `tdfmserve -member i` child process. The parent never deserializes
 // the model — children load (and digest-verify) the artifact
 // themselves, pinned to the parent's version.
-func buildShard(dir string, version int, opts serve.Options, precision string,
+func buildShard(dir string, version int, opts serve.Options,
 	clock chaos.Clock) (*serve.Server, registry.Manifest, []*serve.Supervisor, error) {
 	man, err := findManifest(dir, version)
 	if err != nil {
@@ -328,15 +317,11 @@ func buildShard(dir string, version int, opts serve.Options, precision string,
 			"-member", strconv.Itoa(i),
 			"-model", dir,
 			"-model-version", strconv.Itoa(man.Version),
-			"-precision", precision,
 			"-addr", "127.0.0.1:0",
 		}}
 		members[i] = serve.Member{Name: name, Clf: rm}
 		sups[i] = serve.NewSupervisor(name, proc, rm, serve.SupervisorOptions{Clock: clock, Sink: opts.Sink})
 	}
-	// The parent only relays votes; precision applies in the children,
-	// where the weights live (a RemoteMember has nothing to convert).
-	opts.Precision = serve.PrecisionF64
 	opts.Input = man.Input
 	opts.Model = serve.ModelInfo{Version: man.Version, Digest: man.Digest}
 	srv, err := serve.New(members, man.Classes, opts)

@@ -281,6 +281,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-dataset", "nope"},
 		{"-technique", "nope"},
 		{"-precision", "f16"},
+		{"-precision", "f32"}, // the float32 mirror is gone: unknown flag
 		{"-batch-cap", "8"},
 		{"-watch"},       // requires -model
 		{"-shard"},       // requires -model

@@ -115,6 +115,15 @@ func (c Config) buildFor(ds *data.Dataset, rng *xrand.RNG) (Classifier, *builtMo
 	return bm, bm, nil
 }
 
+// NewUntrained builds the configured architecture sized for ds with
+// freshly initialized (untrained) weights and returns it as a
+// Classifier. Serving tests and benchmarks use it to exercise the
+// prediction path of real architectures without paying for training.
+func NewUntrained(cfg Config, ds *data.Dataset, rng *xrand.RNG) (Classifier, error) {
+	c, _, err := cfg.buildFor(ds, rng)
+	return c, err
+}
+
 // Technique is a training-data fault mitigation approach.
 type Technique interface {
 	// Name returns the short identifier used in reports ("ls", "ens", ...).

@@ -332,3 +332,19 @@ func TestTrainLoopDivergenceDetection(t *testing.T) {
 		t.Logf("diverged as expected: %v", err)
 	}
 }
+
+// TestNewUntrainedBuildsClassifier checks the exported untrained-model
+// constructor used by serving tests and benchmarks.
+// TestNewUntrainedBuildsClassifier checks the exported untrained-model
+// constructor used by serving tests and benchmarks.
+func TestNewUntrainedBuildsClassifier(t *testing.T) {
+	train, _ := tinySet(t)
+	c, err := NewUntrained(Config{Arch: "convnet", WidthMult: 0.5}, train, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := c.PredictProbs(train.X.SliceRows(0, 3))
+	if probs.Dim(0) != 3 || probs.Dim(1) != train.NumClasses {
+		t.Fatalf("probs shape %v, want [3,%d]", probs.Shape(), train.NumClasses)
+	}
+}

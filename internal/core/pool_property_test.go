@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"tdfm/internal/models"
+	"tdfm/internal/nn"
 	"tdfm/internal/tensor"
 	"tdfm/internal/xrand"
 )
@@ -46,6 +48,44 @@ func TestTrainingPooledMatchesUnpooled(t *testing.T) {
 				if math.Float64bits(on[i]) != math.Float64bits(off[i]) {
 					t.Fatalf("probs[%d] differ: pooled %v vs unpooled %v (not bit-identical)", i, on[i], off[i])
 				}
+			}
+		})
+	}
+}
+
+// TestEvalForwardRecyclesDeadActivations pins early recycling in
+// inference forwards (nn.Sequential.Forward) for every study
+// architecture. With the global sync.Pool emptied, a fresh arena can
+// serve a pool hit only by reissuing storage that an earlier layer of
+// the same pass has finished with, so one 32-row forward must score
+// hits. Without recycling every handout of a cold pass is a miss.
+func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
+	const h, w = 8, 8
+	oldPool := tensor.PoolingEnabled()
+	defer tensor.SetPooling(oldPool)
+	tensor.SetPooling(true)
+	x := tensor.New(32, 1, h, w)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i%13)/13 - 0.5
+	}
+	for _, arch := range models.StudyModels() {
+		t.Run(arch, func(t *testing.T) {
+			net, err := models.Build(arch, models.BuildConfig{
+				InChannels: 1, Height: h, Width: w, NumClasses: 3,
+				WidthMult: 0.25, RNG: xrand.New(7).Split(arch),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nn.InstallArena(net, tensor.NewArena())
+			// The first collection moves the pool's buffers to its victim
+			// cache, the second drops them.
+			runtime.GC()
+			runtime.GC()
+			tensor.ResetStats()
+			net.Forward(x, false)
+			if s := tensor.Stats(); s.Hits == 0 {
+				t.Fatalf("cold 32-row inference forward reused no storage (%v): dead activations were not recycled", s)
 			}
 		})
 	}

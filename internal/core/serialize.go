@@ -19,15 +19,10 @@ import (
 // errors.Is.
 var ErrUnsupportedClassifier = errors.New("core: classifier type cannot be serialized")
 
-// Saved precision tags (SavedClassifier.Precision).
-const (
-	// SavedF64 marks an artifact served with the trained float64 weights.
-	SavedF64 = "f64"
-	// SavedF32 marks an artifact whose source classifier was a ToF32
-	// inference twin; Import re-derives the twin from the stored float64
-	// weights, so the round trip is bit-exact.
-	SavedF32 = "f32"
-)
+// SavedF64 is the precision tag (SavedClassifier.Precision) of an
+// artifact served with its trained float64 weights, the only precision
+// Import accepts.
+const SavedF64 = "f64"
 
 // Saved classifier kinds (SavedClassifier.Kind).
 const (
@@ -49,14 +44,13 @@ type SavedMember struct {
 
 // SavedClassifier is the serializable form of a trained classifier: the
 // wire format of model-registry artifacts (internal/registry). It always
-// stores float64 weights — the source of truth — plus the metadata needed
-// to rebuild the exact network (input shape, class count, width
-// multiplier) and the precision the classifier served at.
+// stores float64 weights plus the metadata needed to rebuild the exact
+// network (input shape, class count, width multiplier) and the precision
+// the classifier serves at.
 type SavedClassifier struct {
 	// Kind is SavedSingle or SavedEnsemble.
 	Kind string
-	// Precision is SavedF64 or SavedF32 (the serving storage the source
-	// classifier used; weights are stored in float64 either way).
+	// Precision is SavedF64, the serving storage of the classifier.
 	Precision string
 	// Members holds one entry per network (exactly one for SavedSingle).
 	Members []SavedMember
@@ -70,11 +64,9 @@ type SavedClassifier struct {
 }
 
 // Export captures a trained classifier in its serializable form. It
-// supports the classifiers the techniques produce — single networks,
-// voting ensembles of networks — and their ToF32 inference twins (the
-// float64 source weights are stored, tagged SavedF32, and Import
-// re-derives the twin). Any other classifier type returns an error
-// wrapping ErrUnsupportedClassifier.
+// supports the classifiers the techniques produce — single networks and
+// voting ensembles of networks. Any other classifier type returns an
+// error wrapping ErrUnsupportedClassifier.
 func Export(c Classifier) (*SavedClassifier, error) {
 	switch v := c.(type) {
 	case *builtModel:
@@ -86,16 +78,6 @@ func Export(c Classifier) (*SavedClassifier, error) {
 			Channels:  v.inC, Height: v.inH, Width: v.inW,
 			WidthMult: v.cfg.WidthMult,
 		}, nil
-	case *f32Model:
-		if v.src == nil {
-			return nil, fmt.Errorf("core: exporting float32 twin without a float64 source: %w", ErrUnsupportedClassifier)
-		}
-		s, err := Export(v.src)
-		if err != nil {
-			return nil, err
-		}
-		s.Precision = SavedF32
-		return s, nil
 	case *VotingClassifier:
 		if len(v.Members) == 0 {
 			return nil, fmt.Errorf("core: exporting empty ensemble: %w", ErrUnsupportedClassifier)
@@ -110,12 +92,8 @@ func Export(c Classifier) (*SavedClassifier, error) {
 				return nil, fmt.Errorf("core: ensemble member %d is itself an ensemble: %w", i, ErrUnsupportedClassifier)
 			}
 			if i == 0 {
-				out.Precision = ms.Precision
 				out.Channels, out.Height, out.Width = ms.Channels, ms.Height, ms.Width
 				out.WidthMult = ms.WidthMult
-			} else if ms.Precision != out.Precision {
-				return nil, fmt.Errorf("core: ensemble mixes %s and %s members: %w",
-					out.Precision, ms.Precision, ErrUnsupportedClassifier)
 			}
 			out.Members = append(out.Members, ms.Members[0])
 		}
@@ -135,18 +113,13 @@ func exportNet(m *builtModel) SavedMember {
 // Import rebuilds a classifier from its serialized form: every member's
 // architecture is rebuilt from the model registry at the saved input
 // shape and its weights restored from the snapshot, so the imported
-// classifier's predictions are byte-identical to the exported one's. A
-// SavedF32 artifact is imported as its float32 inference twin (ToF32 of
-// the restored float64 networks — the exact conversion the source
-// classifier went through). Unknown kinds, precisions, and architectures
-// return errors wrapping ErrUnsupportedClassifier.
+// classifier's predictions are byte-identical to the exported one's.
+// Unknown kinds, precisions (the retired "f32" included), and
+// architectures return errors wrapping ErrUnsupportedClassifier.
 func Import(s *SavedClassifier) (Classifier, error) {
-	switch s.Precision {
-	case SavedF64, SavedF32:
-	default:
+	if s.Precision != SavedF64 {
 		return nil, fmt.Errorf("core: importing precision %q: %w", s.Precision, ErrUnsupportedClassifier)
 	}
-	var c Classifier
 	switch s.Kind {
 	case SavedSingle:
 		if len(s.Members) != 1 {
@@ -156,7 +129,7 @@ func Import(s *SavedClassifier) (Classifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		c = m
+		return m, nil
 	case SavedEnsemble:
 		if len(s.Members) == 0 {
 			return nil, fmt.Errorf("core: ensemble artifact has no members: %w", ErrUnsupportedClassifier)
@@ -169,14 +142,10 @@ func Import(s *SavedClassifier) (Classifier, error) {
 			}
 			members[i] = m
 		}
-		c = &VotingClassifier{Members: members, Classes: s.Classes}
+		return &VotingClassifier{Members: members, Classes: s.Classes}, nil
 	default:
 		return nil, fmt.Errorf("core: importing kind %q: %w", s.Kind, ErrUnsupportedClassifier)
 	}
-	if s.Precision == SavedF32 {
-		return ToF32(c)
-	}
-	return c, nil
 }
 
 // importNet rebuilds member i of s and restores its weights.
@@ -244,15 +213,6 @@ func ReleaseArenas(c Classifier) {
 			a.Release()
 		}
 		v.mu.Unlock()
-	case *f32Model:
-		v.mu.Lock()
-		if a := v.net.Arena(); a != nil {
-			a.Release()
-		}
-		v.mu.Unlock()
-		if v.src != nil {
-			ReleaseArenas(v.src)
-		}
 	case *VotingClassifier:
 		for _, m := range v.Members {
 			ReleaseArenas(m)

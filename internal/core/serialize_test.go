@@ -102,37 +102,6 @@ func TestExportImportEnsembleRoundTrip(t *testing.T) {
 	samePredictions(t, ens, back, probe)
 }
 
-// TestExportImportF32RoundTrip pins the ToF32 variant: exporting a
-// float32 twin stores the float64 source tagged f32, and Import
-// re-derives a twin with bit-identical probabilities.
-func TestExportImportF32RoundTrip(t *testing.T) {
-	cfg, probe := serializeFixture(t)
-	train, _, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewUntrained(Config{Arch: "convnet"}, train, xrand.New(5).Split("f32"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := ToF32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved, err := Export(twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saved.Precision != SavedF32 {
-		t.Fatalf("precision = %q, want %q", saved.Precision, SavedF32)
-	}
-	back := roundTrip(t, twin)
-	if _, ok := back.(*f32Model); !ok {
-		t.Fatalf("imported classifier is %T, want *f32Model", back)
-	}
-	samePredictions(t, twin, back, probe)
-}
-
 // TestExportRejectsUnknownClassifier pins the typed error for classifier
 // types outside the serializable family.
 func TestExportRejectsUnknownClassifier(t *testing.T) {
@@ -153,6 +122,7 @@ func TestImportRejectsBadArtifacts(t *testing.T) {
 	cases := map[string]func(s *SavedClassifier){
 		"unknown kind":      func(s *SavedClassifier) { s.Kind = "tree" },
 		"unknown precision": func(s *SavedClassifier) { s.Precision = "f16" },
+		"retired f32":       func(s *SavedClassifier) { s.Precision = "f32" },
 		"unknown arch":      func(s *SavedClassifier) { s.Members[0].Arch = "transformer" },
 		"missing snapshot":  func(s *SavedClassifier) {},
 	}

@@ -34,9 +34,10 @@ type builtModel struct {
 
 var _ Classifier = (*builtModel)(nil)
 
-// predictBatch bounds memory use during inference: the im2col expansion
-// of a conv layer is the peak allocation, and it grows linearly with the
-// chunk's row count.
+// predictBatch bounds memory use during inference. An inference forward
+// recycles dead activations layer by layer (nn.Sequential.Forward), so a
+// member's arena peaks at one layer's working set — its input, im2col
+// scratch and output — which grows linearly with the chunk's row count.
 const predictBatch = 128
 
 // PredictProbs runs inference and returns softmax probabilities. Inputs

@@ -16,9 +16,9 @@ const tensorPkg = "tdfm/internal/tensor"
 
 // Ownership kinds a tracked value can have.
 const (
-	ownBuf      = iota // GetBuf/GetBuf32 slice: released by PutBuf/PutBuf32
+	ownBuf      = iota // GetBuf slice: released by PutBuf
 	ownTensor          // NewPooled tensor: released by Release
-	ownArenaVal        // Arena-allocated value: invalidated by its arena's Reset/Release
+	ownArenaVal        // Arena-allocated value: invalidated by its arena's Reset/Release/RecycleSince
 )
 
 // Abstract facts about one tracked value (a bitset: paths may disagree).
@@ -51,8 +51,8 @@ type ownState map[string]ownEntry
 // PoolOwn enforces the pooled-buffer ownership contract on every
 // function, path-sensitively over the CFG engine:
 //
-//   - every tensor.GetBuf/GetBuf32 buffer and NewPooled tensor must
-//     reach its release (PutBuf/PutBuf32, Release — directly or via
+//   - every tensor.GetBuf buffer and NewPooled tensor must
+//     reach its release (PutBuf, Release — directly or via
 //     defer) on every return path, unless ownership escapes by being
 //     returned;
 //   - no use after release, and no double release;
@@ -60,9 +60,10 @@ type ownState map[string]ownEntry
 //     stores, or channels, or be captured by closures — those escapes
 //     outlive the function and defeat intraprocedural ownership (a
 //     deliberate long-lived handoff is justified with //tdfm:allow);
-//   - values allocated from a tensor.Arena (Buf, Buf32, Tensor,
-//     TensorLike, WriteOnce, WriteOnceLike, F32) must not be used after
-//     that arena's Reset or Release in the same function: the storage is
+//   - values allocated from a tensor.Arena (Buf, Tensor, TensorLike,
+//     WriteOnce, WriteOnceLike) must not be used after that arena's
+//     Reset or Release in the same function, nor after a
+//     RecycleSince(m, keep) unless they are keep: the storage is
 //     reissued.
 //
 // The analysis is intraprocedural: passing a tracked value to a callee
@@ -151,14 +152,10 @@ func (p *PoolOwn) checkFunc(pkg *Package, fn ast.Node, body *ast.BlockStmt) []Fi
 
 // releaserName names the missing release call for a leak message.
 func releaserName(e ownEntry) string {
-	switch {
-	case e.kind == ownTensor:
+	if e.kind == ownTensor {
 		return "Release"
-	case e.label == "tensor.GetBuf32":
-		return "tensor.PutBuf32"
-	default:
-		return "tensor.PutBuf"
 	}
+	return "tensor.PutBuf"
 }
 
 // joinOwn merges two path states: union of tracked values, bitwise-OR
@@ -309,8 +306,8 @@ func (a *ownAnalysis) assign(st ownState, x *ast.AssignStmt, consumed map[token.
 // origins for one call expression found anywhere in a node.
 func (a *ownAnalysis) call(st ownState, node ast.Node, call *ast.CallExpr, consumed map[token.Pos]bool, report func(token.Pos, string, ...any)) {
 	pkg := a.pkg
-	// PutBuf/PutBuf32(v): release of a tracked buffer.
-	if isPkgCall(pkg, call, tensorPkg, "PutBuf") || isPkgCall(pkg, call, tensorPkg, "PutBuf32") {
+	// PutBuf(v): release of a tracked buffer.
+	if isPkgCall(pkg, call, tensorPkg, "PutBuf") {
 		if len(call.Args) == 1 {
 			a.release(st, call.Args[0], call, consumed, report)
 		}
@@ -323,8 +320,10 @@ func (a *ownAnalysis) call(st ownState, node ast.Node, call *ast.CallExpr, consu
 		}
 		return
 	}
-	// Arena Reset/Release invalidates every value allocated from it here.
-	if methodOn(pkg, call, tensorPkg, "Arena", "Reset") || methodOn(pkg, call, tensorPkg, "Arena", "Release") {
+	// Arena Reset/Release invalidates every value allocated from it here;
+	// RecycleSince(m, keep) every one but keep.
+	recycle := methodOn(pkg, call, tensorPkg, "Arena", "RecycleSince")
+	if recycle || methodOn(pkg, call, tensorPkg, "Arena", "Reset") || methodOn(pkg, call, tensorPkg, "Arena", "Release") {
 		recv := recvExpr(call)
 		if recv == nil {
 			return
@@ -333,9 +332,13 @@ func (a *ownAnalysis) call(st ownState, node ast.Node, call *ast.CallExpr, consu
 		if !ok {
 			return
 		}
+		keep := ""
+		if recycle && len(call.Args) == 2 {
+			keep, _ = refKey(pkg, call.Args[1])
+		}
 		what := exprText(recv) + "." + calleeFunc(pkg, call).Name() + "()"
 		for k, e := range st {
-			if e.kind == ownArenaVal && e.arena == key {
+			if e.kind == ownArenaVal && e.arena == key && k != keep {
 				e.bits = (e.bits &^ fOwned) | fReleased
 				e.resetLabel = what
 				st[k] = e
@@ -392,7 +395,7 @@ func (a *ownAnalysis) applyDeferred(st ownState, call *ast.CallExpr) {
 	credit := func(c *ast.CallExpr) {
 		var arg ast.Expr
 		switch {
-		case isPkgCall(a.pkg, c, tensorPkg, "PutBuf") || isPkgCall(a.pkg, c, tensorPkg, "PutBuf32"):
+		case isPkgCall(a.pkg, c, tensorPkg, "PutBuf"):
 			if len(c.Args) == 1 {
 				arg = c.Args[0]
 			}
@@ -501,12 +504,10 @@ func (a *ownAnalysis) origin(call *ast.CallExpr) (kind int, label, arena string,
 	switch {
 	case isPkgCall(pkg, call, tensorPkg, "GetBuf"):
 		return ownBuf, "tensor.GetBuf", "", true
-	case isPkgCall(pkg, call, tensorPkg, "GetBuf32"):
-		return ownBuf, "tensor.GetBuf32", "", true
 	case isPkgCall(pkg, call, tensorPkg, "NewPooled"):
 		return ownTensor, "tensor.NewPooled", "", true
 	}
-	for _, m := range [...]string{"Buf", "Buf32", "Tensor", "TensorLike", "WriteOnce", "WriteOnceLike", "F32"} {
+	for _, m := range [...]string{"Buf", "Tensor", "TensorLike", "WriteOnce", "WriteOnceLike"} {
 		if methodOn(pkg, call, tensorPkg, "Arena", m) {
 			recv := recvExpr(call)
 			if recv == nil {

@@ -128,14 +128,6 @@ func Discarded(n int) {
 	tensor.GetBuf(n) // want "result is discarded"
 }
 
-// Float32Leak checks the float32 twin is tracked too.
-func Float32Leak(n int) []float32 {
-	tmp := tensor.GetBuf32(n) // want "may not be released on every return path"
-	out := tensor.GetBuf32(n)
-	copy(out, tmp)
-	return out // out's ownership transfers; tmp leaks
-}
-
 // PooledTensorLeak loses a NewPooled tensor on the error path.
 func PooledTensorLeak(rows, cols int) (*tensor.Tensor, error) {
 	t := tensor.NewPooled(rows, cols) // want "may not be released on every return path"
@@ -167,6 +159,18 @@ func ArenaWriteOnceUseAfterReset(a *tensor.Arena, n int) float64 {
 	t.Fill(1)
 	a.Reset()
 	return t.Data()[0] // want "used after a.Reset()"
+}
+
+// ArenaUseAfterRecycle reads a dead activation after RecycleSince
+// returned it to the freelists; the kept output stays valid.
+func ArenaUseAfterRecycle(a *tensor.Arena, x *tensor.Tensor) float64 {
+	m := a.Mark()
+	h := a.WriteOnceLike(x)
+	h.Fill(1)
+	out := a.TensorLike(h)
+	out.AddIn(h)
+	a.RecycleSince(m, out)
+	return out.Data()[0] + h.Data()[0] // want "h is used after a.RecycleSince()"
 }
 
 // ArenaIndividualRelease calls Release on an arena tensor.

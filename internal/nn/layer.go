@@ -40,8 +40,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // arenaHolder embeds an optional tensor.Arena into a layer. When an arena
 // is installed (see InstallArena), every activation and scratch tensor the
 // layer allocates comes from the arena and is recycled wholesale by the
-// owner's Arena.Reset at batch/chunk boundaries; without one, alloc is
-// plain tensor.New and behaviour is exactly the historical
+// owner's Arena.Reset at batch/chunk boundaries, and layer by layer
+// within an inference forward (see Sequential.Forward); without one,
+// alloc is plain tensor.New and behaviour is exactly the historical
 // allocate-per-call path. The two modes are byte-identical: alloc is
 // zero-filled either way, and allocWriteOnce is used only for
 // destinations whose every element is written before any is read.
@@ -161,10 +162,25 @@ func (s *Sequential) Layers() []Layer { return s.layers }
 // loop and chunked inference use it to recycle activations at safe points.
 func (s *Sequential) Arena() *tensor.Arena { return s.arena }
 
-// Forward runs the layers in order.
+// Forward runs the layers in order. An inference forward (training
+// false) over an installed arena returns each layer's dead activations
+// and scratch to the arena as soon as the next layer's output exists, so
+// the arena holds the pass's live set instead of the sum of its
+// activations. Only storage handed out during this call is recycled:
+// the caller's input predates the mark, and a nested Sequential (a
+// residual branch) leaves its output for this one to recycle. A training
+// forward keeps every activation for Backward.
 func (s *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	if training || s.arena == nil {
+		for _, l := range s.layers {
+			x = l.Forward(x, training)
+		}
+		return x
+	}
+	m := s.arena.Mark()
 	for _, l := range s.layers {
 		x = l.Forward(x, training)
+		s.arena.RecycleSince(m, x)
 	}
 	return x
 }

@@ -83,7 +83,7 @@ type Manifest struct {
 	File string `json:"file"`
 	// Kind is core.SavedSingle or core.SavedEnsemble.
 	Kind string `json:"kind"`
-	// Precision is core.SavedF64 or core.SavedF32.
+	// Precision is core.SavedF64, the only precision Open accepts.
 	Precision string `json:"precision"`
 	// Members lists the member architecture names in member order.
 	Members []string `json:"members"`

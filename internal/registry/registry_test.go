@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -158,6 +159,38 @@ func TestOpenRejectsMissingArtifact(t *testing.T) {
 	}
 	if _, _, err := Open(dir, m.Version); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open on missing artifact: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenRejectsF32Artifact pins the retired float32 precision: an
+// intact artifact tagged "f32" (as earlier releases published float32
+// serving twins) fails Open with the core sentinel instead of loading.
+func TestOpenRejectsF32Artifact(t *testing.T) {
+	dir := t.TempDir()
+	clf, _ := fixture(t, "convnet", 8)
+	m := publish(t, dir, clf, "")
+	raw, err := os.ReadFile(filepath.Join(dir, m.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := core.DecodeSaved(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.Precision = "f32"
+	var buf bytes.Buffer
+	if err := saved.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.File), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Digest, m.Size, m.Precision = digest(buf.Bytes()), int64(buf.Len()), "f32"
+	if err := appendManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, m.Version); !errors.Is(err, core.ErrUnsupportedClassifier) {
+		t.Fatalf("Open on an f32 artifact: err = %v, want ErrUnsupportedClassifier", err)
 	}
 }
 

@@ -113,8 +113,8 @@ func benchMembers(tb testing.TB, flavour string, withArena bool) []Member {
 }
 
 // benchCoreMembers builds a three-member convnet ensemble through the
-// real core constructors, so the members support the server's float32
-// precision conversion (core.ToF32 requires core's own model types).
+// real core constructors, so the members run core's chunked, arena-reset
+// inference path.
 func benchCoreMembers(tb testing.TB) []Member {
 	tb.Helper()
 	ds := &data.Dataset{
@@ -209,10 +209,9 @@ func benchPredict(b *testing.B, flavour string, reqs int) {
 }
 
 // benchBulk measures one rows-row request per iteration through
-// Predict — the serve-bulk workload's request shape — over members at
-// precision p.
-func benchBulk(b *testing.B, members []Member, rows int, p Precision) {
-	s, err := New(members, benchClasses, Options{Precision: p})
+// Predict — the serve-bulk workload's request shape.
+func benchBulk(b *testing.B, members []Member, rows int) {
+	s, err := New(members, benchClasses, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,12 +227,11 @@ func benchBulk(b *testing.B, members []Member, rows int, p Precision) {
 	s.Drain()
 }
 
-// benchPredictPrecision measures a rows-row request through real core
-// members at the given serving precision. The f32-versus-f64
-// comparison is run with pooling disabled so the B/op column reflects
-// storage width alone, not how much of it the arena recycled.
-func benchPredictPrecision(b *testing.B, rows int, p Precision) {
-	benchBulk(b, benchCoreMembers(b), rows, p)
+// benchPredictCore measures a rows-row request through real core
+// members with pooling disabled, so the B/op column is the storage a
+// request allocates fresh rather than what the arenas leave of it.
+func benchPredictCore(b *testing.B, rows int) {
+	withPooling(false, func() { benchBulk(b, benchCoreMembers(b), rows) })
 }
 
 // withPooling runs fn with the tensor buffer pool forced on or off,
@@ -273,32 +271,25 @@ func BenchmarkAllocPredict(b *testing.B) {
 	const rows = 32
 	b.Run("pooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), rows, PrecisionF64) })
+		withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), rows) })
 	})
 	b.Run("unpooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), rows, PrecisionF64) })
+		withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), rows) })
 	})
 }
 
-// BenchmarkPredictPrecision compares f64 and f32 member storage on one
-// 32-row request, pooling disabled for both sides (see
-// benchPredictPrecision).
-func BenchmarkPredictPrecision(b *testing.B) {
-	const rows = 32
-	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
-		p := p
-		b.Run(fmt.Sprintf("%s/b=%d", p, rows), func(b *testing.B) {
-			b.ReportAllocs()
-			withPooling(false, func() { benchPredictPrecision(b, rows, p) })
-		})
-	}
+// BenchmarkPredictCore tracks one 32-row request's fresh storage through
+// real core members (see benchPredictCore).
+func BenchmarkPredictCore(b *testing.B) {
+	b.ReportAllocs()
+	benchPredictCore(b, 32)
 }
 
 // benchRecord and benchFile mirror the committed BENCH_*.json layout
 // (also emitted by internal/tensor's benchmark suite). The allocation
-// columns are populated for the memory rows (alloc/* and precision
-// comparisons) and omitted elsewhere.
+// columns are populated for the memory rows (alloc/* and
+// predict/convnet-core/*) and omitted elsewhere.
 type benchRecord struct {
 	Name        string  `json:"name"`
 	Rows        int     `json:"rows"`
@@ -409,17 +400,16 @@ func TestEmitServeBenchJSON(t *testing.T) {
 
 	// Memory rows, each one 32-row request per op. The pooled/unpooled
 	// pair tracks what buffer pooling saves on the predict path
-	// (allocs/op, B/op); the f64/f32 pair tracks what float32 member
-	// storage saves on top, with pooling disabled for both sides so
-	// storage width is isolated.
+	// (allocs/op, B/op); the core row tracks the fresh storage of a
+	// request through real core members.
 	const allocReqs = 32
 	pooled := measureAlloc(fmt.Sprintf("alloc/predict/pooled/b=%d", allocReqs), allocReqs,
 		func(b *testing.B) {
-			withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs, PrecisionF64) })
+			withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs) })
 		})
 	unpooled := measureAlloc(fmt.Sprintf("alloc/predict/unpooled/b=%d", allocReqs), allocReqs,
 		func(b *testing.B) {
-			withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs, PrecisionF64) })
+			withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs) })
 		})
 	f.Benchmarks = append(f.Benchmarks, pooled, unpooled)
 	f.Speedups[fmt.Sprintf("predict_allocs_unpooled_vs_pooled_b%d", allocReqs)] =
@@ -427,13 +417,8 @@ func TestEmitServeBenchJSON(t *testing.T) {
 	f.Speedups[fmt.Sprintf("predict_bytes_unpooled_vs_pooled_b%d", allocReqs)] =
 		float64(unpooled.BytesPerOp) / float64(pooled.BytesPerOp)
 
-	f64row := measureAlloc(fmt.Sprintf("predict/convnet-core/f64/b=%d", allocReqs), allocReqs,
-		func(b *testing.B) { withPooling(false, func() { benchPredictPrecision(b, allocReqs, PrecisionF64) }) })
-	f32row := measureAlloc(fmt.Sprintf("predict/convnet-core/f32/b=%d", allocReqs), allocReqs,
-		func(b *testing.B) { withPooling(false, func() { benchPredictPrecision(b, allocReqs, PrecisionF32) }) })
-	f.Benchmarks = append(f.Benchmarks, f64row, f32row)
-	f.Speedups[fmt.Sprintf("predict_bytes_f64_vs_f32_b%d", allocReqs)] =
-		float64(f64row.BytesPerOp) / float64(f32row.BytesPerOp)
+	f.Benchmarks = append(f.Benchmarks, measureAlloc(fmt.Sprintf("predict/convnet-core/f64/b=%d", allocReqs), allocReqs,
+		func(b *testing.B) { benchPredictCore(b, allocReqs) }))
 
 	blob, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

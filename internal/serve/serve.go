@@ -82,24 +82,6 @@ func (e *QuorumError) Error() string {
 // Unwrap ties the typed error to the ErrNoQuorum sentinel.
 func (e *QuorumError) Unwrap() error { return ErrNoQuorum }
 
-// Precision selects the numeric storage the server's members run
-// inference in (Options.Precision).
-type Precision string
-
-// Supported serving precisions.
-const (
-	// PrecisionF64 serves with the trained float64 networks unchanged —
-	// the default, bit-identical to offline evaluation.
-	PrecisionF64 Precision = "f64"
-	// PrecisionF32 converts every member to its float32 inference twin
-	// at server construction (core.ToF32): weights convert once,
-	// activations flow in float32, and memory traffic per prediction
-	// roughly halves. Probabilities drift by single-precision rounding
-	// only; votes match f64 whenever logit margins exceed the drift
-	// (DESIGN.md §10 documents the tolerance).
-	PrecisionF32 Precision = "f32"
-)
-
 // Member is one named ensemble member the server dispatches to.
 type Member struct {
 	// Name identifies the member in responses, events, breaker state,
@@ -153,11 +135,6 @@ type Options struct {
 	// Input is the expected per-sample shape (channels, height, width),
 	// used by the HTTP handler to validate and shape request payloads.
 	Input [3]int
-	// Precision selects the members' inference storage: PrecisionF64
-	// (default) serves the trained networks as-is; PrecisionF32 converts
-	// each member to its float32 twin at construction. New fails when a
-	// member cannot be converted or the value is unknown.
-	Precision Precision
 	// Model identifies the registry artifact the members came from:
 	// /healthz reports it, swap events stamp it, and the retiring
 	// version's pool-stats snapshot is tagged with its label. The zero
@@ -190,9 +167,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.Clock == nil {
 		o.Clock = chaos.Wall()
-	}
-	if o.Precision == "" {
-		o.Precision = PrecisionF64
 	}
 	return o
 }
@@ -291,22 +265,6 @@ func New(members []Member, classes int, opts Options) (*Server, error) {
 	if opts.MinQuorum > len(members) {
 		return nil, fmt.Errorf("serve: minimum quorum %d exceeds ensemble size %d",
 			opts.MinQuorum, len(members))
-	}
-	switch opts.Precision {
-	case PrecisionF64:
-	case PrecisionF32:
-		converted := make([]Member, len(members))
-		for i, m := range members {
-			clf, err := core.ToF32(m.Clf)
-			if err != nil {
-				return nil, fmt.Errorf("serve: member %s: %w", m.Name, err)
-			}
-			converted[i] = Member{Name: m.Name, Clf: clf}
-		}
-		members = converted
-	default:
-		return nil, fmt.Errorf("serve: unknown precision %q (have %q, %q)",
-			opts.Precision, PrecisionF64, PrecisionF32)
 	}
 	s := &Server{
 		members:  members,

@@ -9,8 +9,33 @@ import (
 
 	"tdfm/internal/chaos"
 	"tdfm/internal/core"
+	"tdfm/internal/data"
 	"tdfm/internal/tensor"
+	"tdfm/internal/xrand"
 )
+
+// realMembers builds an ensemble of real (untrained) study networks
+// through core's constructors, one per listed architecture.
+func realMembers(tb testing.TB, archs ...string) []Member {
+	tb.Helper()
+	ds := &data.Dataset{
+		X:          tensor.New(1, 1, 8, 8),
+		Labels:     []int{0},
+		NumClasses: 3,
+		Name:       "serve-real",
+	}
+	ms := make([]Member, len(archs))
+	for i, arch := range archs {
+		clf, err := core.NewUntrained(
+			core.Config{Arch: arch, WidthMult: 0.25},
+			ds, xrand.New(uint64(31+i)).Split(arch))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ms[i] = Member{Name: arch, Clf: clf}
+	}
+	return ms
+}
 
 // stubClf is a deterministic, stateless member: it emits the same
 // probability row (exact binary fractions) for every input row.

@@ -81,17 +81,6 @@ func convBatchedPooled(x, w *Tensor) {
 	out.Release()
 }
 
-// convBatchedF32 is the float32 flavour of convBatched, built from the
-// inference-precision kernels. It allocates its outputs fresh each call so
-// the B/op column directly reflects the storage-width saving over f64.
-func convBatchedF32(x, w *F32) *F32 {
-	n, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh, ow := convBenchGeom.OutSize(h, wd)
-	cols := NewF32(n*oh*ow, convBenchC*convBenchGeom.KH*convBenchGeom.KW)
-	Im2ColF32Into(cols, x, convBenchGeom)
-	return cols.MatMulInto(NewF32(n*oh*ow, convBenchOutC), w)
-}
-
 func benchConv(b *testing.B, n int, batched bool) {
 	x, w := convBenchInput(n)
 	b.ReportAllocs()
@@ -260,29 +249,18 @@ func benchAllocConv(b *testing.B, n int, pooled bool) {
 	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// benchConvPrecision measures the batched conv at the given storage width
-// with pooling disabled on both sides, so the B/op delta isolates float32
-// versus float64 storage rather than buffer reuse. Conversion of the
-// inputs and weights happens once, outside the timer, matching how the
-// serving layer converts an ensemble once at startup.
-func benchConvPrecision(b *testing.B, n int, f32 bool) {
+// benchConvUnpooled measures the batched conv with pooling disabled, so
+// B/op is the storage a pass allocates fresh rather than what buffer
+// reuse leaves of it.
+func benchConvUnpooled(b *testing.B, n int) {
 	old := PoolingEnabled()
 	SetPooling(false)
 	defer SetPooling(old)
 	x, w := convBenchInput(n)
-	if f32 {
-		x32, w32 := F32FromTensor(x), F32FromTensor(w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			convBatchedF32(x32, w32)
-		}
-	} else {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			convBatched(x, w)
-		}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		convBatched(x, w)
 	}
 	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "rows/s")
 }
@@ -295,12 +273,9 @@ func BenchmarkAllocConv(b *testing.B) {
 	b.Run("unpooled", func(b *testing.B) { benchAllocConv(b, 32, false) })
 }
 
-// BenchmarkConvPrecision compares the f64 and f32 conv kernels at equal
-// geometry (run with -benchmem; f32 should roughly halve B/op).
-func BenchmarkConvPrecision(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchConvPrecision(b, 32, false) })
-	b.Run("f32", func(b *testing.B) { benchConvPrecision(b, 32, true) })
-}
+// BenchmarkConvUnpooled tracks the batched conv's fresh storage per pass
+// (run with -benchmem; see benchConvUnpooled).
+func BenchmarkConvUnpooled(b *testing.B) { benchConvUnpooled(b, 32) }
 
 // benchRecord is one measured configuration in a BENCH_*.json trajectory.
 type benchRecord struct {
@@ -444,27 +419,23 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 		}
 	}
 
-	// Memory rows: pool on/off through the same code path, then f64
-	// versus f32 kernels with pooling off on both sides.
+	// Memory rows: pool on/off through the same code path, then the
+	// batched conv's fresh storage with pooling off.
 	const allocN = 32
 	pooled := measureAlloc(fmt.Sprintf("alloc/conv/pooled/n=%d", allocN), allocN,
 		func(b *testing.B) { benchAllocConv(b, allocN, true) })
 	unpooled := measureAlloc(fmt.Sprintf("alloc/conv/unpooled/n=%d", allocN), allocN,
 		func(b *testing.B) { benchAllocConv(b, allocN, false) })
 	f64c := measureAlloc(fmt.Sprintf("conv/f64/n=%d", allocN), allocN,
-		func(b *testing.B) { benchConvPrecision(b, allocN, false) })
-	f32c := measureAlloc(fmt.Sprintf("conv/f32/n=%d", allocN), allocN,
-		func(b *testing.B) { benchConvPrecision(b, allocN, true) })
-	for _, r := range []*benchRecord{&pooled, &unpooled, &f64c, &f32c} {
+		func(b *testing.B) { benchConvUnpooled(b, allocN) })
+	for _, r := range []*benchRecord{&pooled, &unpooled, &f64c} {
 		r.GFLOPS = convBenchFlops / r.NsPerRow
 	}
-	f.Benchmarks = append(f.Benchmarks, pooled, unpooled, f64c, f32c)
+	f.Benchmarks = append(f.Benchmarks, pooled, unpooled, f64c)
 	f.Speedups[fmt.Sprintf("conv_allocs_unpooled_vs_pooled_n%d", allocN)] =
 		ratio(unpooled.AllocsPerOp, pooled.AllocsPerOp)
 	f.Speedups[fmt.Sprintf("conv_bytes_unpooled_vs_pooled_n%d", allocN)] =
 		ratio(unpooled.BytesPerOp, pooled.BytesPerOp)
-	f.Speedups[fmt.Sprintf("conv_bytes_f64_vs_f32_n%d", allocN)] =
-		ratio(f64c.BytesPerOp, f32c.BytesPerOp)
 
 	if err := writeBenchFile(out, f); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,10 @@ import (
 // padded positions untouched, col2im accumulates from +0.
 
 // refIm2col returns the receptive-field rows of x [n,c,h,w].
-func refIm2col[E element](x []E, n, c, h, w int, g ConvGeom) []E {
+func refIm2col(x []float64, n, c, h, w int, g ConvGeom) []float64 {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
-	dst := make([]E, n*oh*ow*colStride)
+	dst := make([]float64, n*oh*ow*colStride)
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
@@ -50,10 +50,10 @@ func refIm2col[E element](x []E, n, c, h, w int, g ConvGeom) []E {
 }
 
 // refCol2im returns the scatter of column rows back into [n,c,h,w].
-func refCol2im[E element](cols []E, n, c, h, w int, g ConvGeom) []E {
+func refCol2im(cols []float64, n, c, h, w int, g ConvGeom) []float64 {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
-	dst := make([]E, n*c*h*w)
+	dst := make([]float64, n*c*h*w)
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
@@ -87,10 +87,10 @@ func refCol2im[E element](cols []E, n, c, h, w int, g ConvGeom) []E {
 
 // poisoned returns a NaN-filled destination of size elements inside
 // guard sentinels, and the sentinel check.
-func poisoned[E element](size int) ([]E, func() bool) {
-	vals := make([]E, size)
+func poisoned(size int) ([]float64, func() bool) {
+	vals := make([]float64, size)
 	for i := range vals {
-		vals[i] = E(math.NaN())
+		vals[i] = math.NaN()
 	}
 	return window(vals, 1)
 }
@@ -99,13 +99,13 @@ func poisoned[E element](size int) ([]E, func() bool) {
 // destinations at the current parallelism and compares them with the
 // reference loops bit for bit. Both inputs carry exact +0 and −0
 // entries: a −0 column entry must come out of col2im as +0 + −0 = +0.
-func checkConvKernels[E element](t *testing.T, rng *xrand.RNG, n, c, h, w int, g ConvGeom) {
+func checkConvKernels(t *testing.T, rng *xrand.RNG, n, c, h, w int, g ConvGeom) {
 	t.Helper()
 	oh, ow := g.OutSize(h, w)
-	x := randOperand[E](rng.Split("x"), n*c*h*w)
-	cols := randOperand[E](rng.Split("cols"), n*oh*ow*c*g.KH*g.KW)
+	x := randOperand(rng.Split("x"), n*c*h*w)
+	cols := randOperand(rng.Split("cols"), n*oh*ow*c*g.KH*g.KW)
 
-	got, intact := poisoned[E](len(cols))
+	got, intact := poisoned(len(cols))
 	im2colKernel(got, x, n, c, h, w, g)
 	if i := sameBits(got, refIm2col(x, n, c, h, w, g)); i >= 0 {
 		t.Fatalf("im2col: element %d = %v, reference %v", i, got[i], refIm2col(x, n, c, h, w, g)[i])
@@ -114,7 +114,7 @@ func checkConvKernels[E element](t *testing.T, rng *xrand.RNG, n, c, h, w int, g
 		t.Fatal("im2col wrote outside the destination")
 	}
 
-	got, intact = poisoned[E](len(x))
+	got, intact = poisoned(len(x))
 	col2imKernel(got, cols, n, c, h, w, g)
 	want := refCol2im(cols, n, c, h, w, g)
 	if i := sameBits(got, want); i >= 0 {
@@ -129,9 +129,8 @@ func checkConvKernels[E element](t *testing.T, rng *xrand.RNG, n, c, h, w int, g
 // write every destination element themselves, to the reference loops on
 // zero-filled memory: 1×1 windows at stride 1 (the nchwToRows and
 // rowsToNCHW route) and stride 2, and 3×3 windows with padding 1 at
-// stride 1 and 2, on square and non-square inputs, in both precisions,
-// at 1, 2 and 4 workers. The larger shape shards across workers for
-// every geometry.
+// stride 1 and 2, on square and non-square inputs, at 1, 2 and 4
+// workers. The larger shape shards across workers for every geometry.
 func TestConvKernelsMatchReferenceBitwise(t *testing.T) {
 	geoms := []ConvGeom{
 		{KH: 1, KW: 1, StrideH: 1, StrideW: 1},
@@ -151,8 +150,7 @@ func TestConvKernelsMatchReferenceBitwise(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := xrand.New(17).Split(name)
 					withParallelism(t, par, func() {
-						checkConvKernels[float64](t, rng.Split("f64"), s.n, s.c, s.h, s.w, g)
-						checkConvKernels[float32](t, rng.Split("f32"), s.n, s.c, s.h, s.w, g)
+						checkConvKernels(t, rng, s.n, s.c, s.h, s.w, g)
 					})
 				})
 			}

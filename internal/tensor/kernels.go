@@ -2,11 +2,9 @@ package tensor
 
 import "tdfm/internal/parallel"
 
-// Generic compute kernels shared by the float64 tensor type and the F32
-// inference storage variant. Every kernel shards over disjoint output
-// regions and keeps each output element's arithmetic inside one shard, so
-// results are bit-identical at any worker count and batch size; the
-// float32 instantiation inherits the same guarantee at its own precision.
+// Compute kernels of the tensor type. Every kernel shards over disjoint
+// output regions and keeps each output element's arithmetic inside one
+// shard, so results are bit-identical at any worker count and batch size.
 //
 // The three matrix products (gemm, gemmTransA, gemmTransB) run on
 // register-blocked micro-kernels. A block of 3 output rows × 2 output
@@ -27,14 +25,13 @@ import "tdfm/internal/parallel"
 // element, it accumulates its terms one at a time in ascending p, the
 // order of the textbook triple loop.
 //
-// These generic products serve float32 everywhere and float64 where the
-// CPU lacks AVX2. On amd64 with AVX2 the float64 products of
-// Tensor.MatMul* run on a 4×8 assembly block instead (kernels_f64.go,
-// kernels_amd64.s), with these kernels computing its row and column
-// tails; its per-lane multiply then add rounds exactly as the scalar
-// code does, so every path yields the same bits.
+// These Go products serve CPUs without AVX2. On amd64 with AVX2 the
+// products of Tensor.MatMul* run on a 4×8 assembly block instead
+// (kernels_f64.go, kernels_amd64.s), with these kernels computing its row
+// and column tails; its per-lane multiply then add rounds exactly as the
+// scalar code does, so every path yields the same bits.
 //
-// Every product term is written E(x*y). The explicit conversion rounds
+// Every product term is written float64(x*y). The explicit conversion rounds
 // the product before the add, which the Go spec guarantees and which
 // stops the compiler from fusing the pair into one fused multiply-add, as
 // it otherwise does on arm64: the single rounding would change bits
@@ -66,11 +63,6 @@ import "tdfm/internal/parallel"
 // col2im is the inverse transpose storing +0 + v, the sum a cleared
 // destination would hold, so a −0 entry still comes out +0.
 
-// element constrains the storage scalar types the kernels support.
-type element interface {
-	~float32 | ~float64
-}
-
 // rowTriple returns the rows of the block that starts at row i of a
 // window ending at hi: i, i+1 and i+2, with rows past the window replaced
 // by its last row.
@@ -81,12 +73,12 @@ func rowTriple(i, hi int) (int, int, int) {
 // dotTriple returns c0, c1 and c2 plus Σs x[o+s·xs]·y[yo+s·ys] over steps
 // terms in ascending s, for o = o0, o1 and o2: a block's three output
 // elements in an odd last column.
-func dotTriple[E element](c0, c1, c2 E, x []E, o0, o1, o2, xs int, y []E, yo, ys, steps int) (E, E, E) {
+func dotTriple(c0, c1, c2 float64, x []float64, o0, o1, o2, xs int, y []float64, yo, ys, steps int) (float64, float64, float64) {
 	for ; steps > 0; steps-- {
 		v := y[yo]
-		c0 += E(x[o0] * v)
-		c1 += E(x[o1] * v)
-		c2 += E(x[o2] * v)
+		c0 += float64(x[o0] * v)
+		c1 += float64(x[o1] * v)
+		c2 += float64(x[o2] * v)
 		o0 += xs
 		o1 += xs
 		o2 += xs
@@ -97,7 +89,7 @@ func dotTriple[E element](c0, c1, c2 E, x []E, o0, o1, o2, xs int, y []E, yo, ys
 
 // gemmBlock accumulates rows a0, a1 and a2 times the 2-column strip of b
 // that starts at b[0] (row stride n) into c0[:2], c1[:2] and c2[:2].
-func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
+func gemmBlock(c0, c1, c2, a0, a1, a2, b []float64, n int) {
 	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
 	a1, a2 = a1[:len(a0)], a2[:len(a0)]
 	c00, c01 := c0[0], c0[1]
@@ -108,13 +100,13 @@ func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
 		x1, x2 := a1[p], a2[p]
 		y := b[off : off+2 : off+2]
 		v := y[0]
-		c00 += E(x0 * v)
-		c10 += E(x1 * v)
-		c20 += E(x2 * v)
+		c00 += float64(x0 * v)
+		c10 += float64(x1 * v)
+		c20 += float64(x2 * v)
 		v = y[1]
-		c01 += E(x0 * v)
-		c11 += E(x1 * v)
-		c21 += E(x2 * v)
+		c01 += float64(x0 * v)
+		c11 += float64(x1 * v)
+		c21 += float64(x2 * v)
 		off += n
 	}
 	c0[0], c0[1] = c00, c01
@@ -124,7 +116,7 @@ func gemmBlock[E element](c0, c1, c2, a0, a1, a2, b []E, n int) {
 
 // gemmRange applies the gemm window of rows [lo, hi) × columns [jlo,
 // jhi): dst[i,j] += Σp a[i,p]·b[p,j].
-func gemmRange[E element](dst, a, b []E, k, n, lo, hi, jlo, jhi int) {
+func gemmRange(dst, a, b []float64, k, n, lo, hi, jlo, jhi int) {
 	for i := lo; i < hi; i += 3 {
 		r0, r1, r2 := rowTriple(i, hi)
 		a0, a1, a2 := a[r0*k:(r0+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k]
@@ -141,7 +133,7 @@ func gemmRange[E element](dst, a, b []E, k, n, lo, hi, jlo, jhi int) {
 
 // gemm computes dst += a × b for row-major a [m,k], b [k,n], dst [m,n],
 // sharded over output rows. dst must be zero-filled for a plain product.
-func gemm[E element](dst, a, b []E, m, k, n int) {
+func gemm(dst, a, b []float64, m, k, n int) {
 	if w := parWorkers(m * k * n); w >= 2 {
 		parallel.For(m, w, func(lo, hi int) { gemmRange(dst, a, b, k, n, lo, hi, 0, n) })
 		return
@@ -161,7 +153,7 @@ const transAChunk = 256
 // transABlock accumulates steps terms of columns a[ao], a[ao+o1] and
 // a[ao+o2] (row stride m) times the 2-column strip of b that starts at
 // b[bo] (row stride n) into c0[:2], c1[:2] and c2[:2].
-func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, steps int) {
+func transABlock(c0, c1, c2, a []float64, ao, o1, o2, m int, b []float64, bo, n, steps int) {
 	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
 	c00, c01 := c0[0], c0[1]
 	c10, c11 := c1[0], c1[1]
@@ -170,13 +162,13 @@ func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, 
 		x0, x1, x2 := a[ao], a[ao+o1], a[ao+o2]
 		y := b[bo : bo+2 : bo+2]
 		v := y[0]
-		c00 += E(x0 * v)
-		c10 += E(x1 * v)
-		c20 += E(x2 * v)
+		c00 += float64(x0 * v)
+		c10 += float64(x1 * v)
+		c20 += float64(x2 * v)
 		v = y[1]
-		c01 += E(x0 * v)
-		c11 += E(x1 * v)
-		c21 += E(x2 * v)
+		c01 += float64(x0 * v)
+		c11 += float64(x1 * v)
+		c21 += float64(x2 * v)
 		ao += m
 		bo += n
 	}
@@ -187,7 +179,7 @@ func transABlock[E element](c0, c1, c2, a []E, ao, o1, o2, m int, b []E, bo, n, 
 
 // gemmTransARange applies the gemmTransA window of rows [ilo, ihi) ×
 // columns [jlo, jhi): dst[i,j] += Σp a[p,i]·b[p,j].
-func gemmTransARange[E element](dst, a, b []E, k, m, n, ilo, ihi, jlo, jhi int) {
+func gemmTransARange(dst, a, b []float64, k, m, n, ilo, ihi, jlo, jhi int) {
 	for p0 := 0; p0 < k; p0 += transAChunk {
 		steps := min(transAChunk, k-p0)
 		for i := ilo; i < ihi; i += 3 {
@@ -209,7 +201,7 @@ func gemmTransARange[E element](dst, a, b []E, k, m, n, ilo, ihi, jlo, jhi int) 
 // sharded over output columns so each worker applies the full ascending-p
 // accumulation to its own column window. dst must be zero-filled for a
 // plain product.
-func gemmTransA[E element](dst, a, b []E, k, m, n int) {
+func gemmTransA(dst, a, b []float64, k, m, n int) {
 	if w := parWorkers(k * m * n); w >= 2 {
 		parallel.For(n, w, func(jlo, jhi int) { gemmTransARange(dst, a, b, k, m, n, 0, m, jlo, jhi) })
 		return
@@ -219,20 +211,20 @@ func gemmTransA[E element](dst, a, b []E, k, m, n int) {
 
 // transBBlock overwrites c0[:2], c1[:2] and c2[:2] with the dot products
 // of rows a0, a1 and a2 with rows b0 and b1.
-func transBBlock[E element](c0, c1, c2, a0, a1, a2, b0, b1 []E) {
+func transBBlock(c0, c1, c2, a0, a1, a2, b0, b1 []float64) {
 	k := len(a0)
 	a1, a2, b0, b1 = a1[:k], a2[:k], b0[:k], b1[:k]
-	var c00, c01, c10, c11, c20, c21 E
+	var c00, c01, c10, c11, c20, c21 float64
 	for p, x0 := range a0 {
 		x1, x2 := a1[p], a2[p]
 		v := b0[p]
-		c00 += E(x0 * v)
-		c10 += E(x1 * v)
-		c20 += E(x2 * v)
+		c00 += float64(x0 * v)
+		c10 += float64(x1 * v)
+		c20 += float64(x2 * v)
 		v = b1[p]
-		c01 += E(x0 * v)
-		c11 += E(x1 * v)
-		c21 += E(x2 * v)
+		c01 += float64(x0 * v)
+		c11 += float64(x1 * v)
+		c21 += float64(x2 * v)
 	}
 	c0, c1, c2 = c0[:2:2], c1[:2:2], c2[:2:2]
 	c0[0], c0[1] = c00, c01
@@ -242,7 +234,7 @@ func transBBlock[E element](c0, c1, c2, a0, a1, a2, b0, b1 []E) {
 
 // gemmTransBRange applies the gemmTransB row window [lo, hi): dst[i,j] =
 // Σp a[i,p]·b[j,p], a dot product of two contiguous rows per element.
-func gemmTransBRange[E element](dst, a, b []E, k, n, lo, hi int) {
+func gemmTransBRange(dst, a, b []float64, k, n, lo, hi int) {
 	for i := lo; i < hi; i += 3 {
 		r0, r1, r2 := rowTriple(i, hi)
 		a0, a1, a2 := a[r0*k:(r0+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k]
@@ -259,7 +251,7 @@ func gemmTransBRange[E element](dst, a, b []E, k, n, lo, hi int) {
 
 // gemmTransB computes dst = a × bᵀ for a [m,k], b [n,k], dst [m,n],
 // sharded over output rows. Every destination element is overwritten.
-func gemmTransB[E element](dst, a, b []E, m, k, n int) {
+func gemmTransB(dst, a, b []float64, m, k, n int) {
 	if w := parWorkers(m * k * n); w >= 2 {
 		parallel.For(m, w, func(lo, hi int) { gemmTransBRange(dst, a, b, k, n, lo, hi) })
 		return
@@ -280,18 +272,18 @@ func (g ConvGeom) pointwise() bool {
 // from a copy of the input row with its zero padding attached, so no
 // element needs a bounds test. The copy lives on the stack for rows up
 // to 256 padded elements wide.
-func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+func im2colRange(dst, x []float64, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
 	if g.pointwise() {
 		nchwToRowsRange(dst, x, c, h, w, imgLo, imgHi)
 		return
 	}
 	kw, sw := g.KW, g.StrideW
-	var stack [256]E
+	var stack [256]float64
 	padded := stack[:]
 	if wp := w + 2*g.PadW; wp <= len(stack) {
 		padded = padded[:wp]
 	} else {
-		padded = make([]E, wp)
+		padded = make([]float64, wp)
 	}
 	inner := padded[g.PadW : g.PadW+w]
 	for img := imgLo; img < imgHi; img++ {
@@ -329,7 +321,7 @@ func im2colRange[E element](dst, x []E, c, h, w, oh, ow, colStride int, g ConvGe
 // im2colKernel unrolls x [n,c,h,w] into receptive-field rows
 // [n*oh*ow, c*KH*KW], sharded by image. Every destination element is
 // overwritten.
-func im2colKernel[E element](dst, x []E, n, c, h, w int, g ConvGeom) {
+func im2colKernel(dst, x []float64, n, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
 	if ww := parWorkers(n * oh * ow * colStride); ww >= 2 {
@@ -369,7 +361,7 @@ func kernelSpan(x0, w, kw int) (lo, hi int) {
 // im2colRange it splits each row into edge and interior windows rather
 // than padding a copy of the row: copying the accumulated row in and out
 // measured slower than the edge tests it saves.
-func col2imRange[E element](dst, cols []E, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
+func col2imRange(dst, cols []float64, c, h, w, oh, ow, colStride int, g ConvGeom, imgLo, imgHi int) {
 	if g.pointwise() {
 		col2imPointwiseRange(dst, cols, c, h*w, imgLo, imgHi)
 		return
@@ -412,7 +404,7 @@ func col2imRange[E element](dst, cols []E, c, h, w, oh, ow, colStride int, g Con
 // col2imEdge adds seg, one kernel row of a window starting at column x0
 // that reaches into the padding, into the output row, dropping the
 // padded columns.
-func col2imEdge[E element](row, seg []E, x0 int) {
+func col2imEdge(row, seg []float64, x0 int) {
 	lo, hi := kernelSpan(x0, len(row), len(seg))
 	for kx := lo; kx < hi; kx++ {
 		row[x0+kx] += seg[kx]
@@ -423,7 +415,7 @@ func col2imEdge[E element](row, seg []E, x0 int) {
 // each destination element receives exactly one term: it transposes each
 // image's [h·w, c] rows into its c planes, storing +0 + v, the sum a
 // cleared destination would hold, so a −0 term still comes out +0.
-func col2imPointwiseRange[E element](dst, cols []E, c, hw, imgLo, imgHi int) {
+func col2imPointwiseRange(dst, cols []float64, c, hw, imgLo, imgHi int) {
 	for img := imgLo; img < imgHi; img++ {
 		in := cols[img*hw*c : (img+1)*hw*c]
 		for ch := 0; ch < c; ch++ {
@@ -440,7 +432,7 @@ func col2imPointwiseRange[E element](dst, cols []E, c, hw, imgLo, imgHi int) {
 // col2imKernel scatters (accumulating on overlap) column rows back into
 // an [n,c,h,w] destination, sharded by image. Every destination element
 // is overwritten.
-func col2imKernel[E element](dst, cols []E, n, c, h, w int, g ConvGeom) {
+func col2imKernel(dst, cols []float64, n, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	colStride := c * g.KH * g.KW
 	if ww := parWorkers(n * oh * ow * colStride); ww >= 2 {
@@ -454,7 +446,7 @@ func col2imKernel[E element](dst, cols []E, n, c, h, w int, g ConvGeom) {
 
 // rowsToNCHWRange converts the image window [imgLo, imgHi): each
 // image's [oh·ow, c] rows transpose into its c planes.
-func rowsToNCHWRange[E element](dst, rows []E, c, oh, ow, imgLo, imgHi int) {
+func rowsToNCHWRange(dst, rows []float64, c, oh, ow, imgLo, imgHi int) {
 	hw := oh * ow
 	for img := imgLo; img < imgHi; img++ {
 		in := rows[img*hw*c : (img+1)*hw*c]
@@ -472,7 +464,7 @@ func rowsToNCHWRange[E element](dst, rows []E, c, oh, ow, imgLo, imgHi int) {
 // rowsToNCHWKernel reinterprets position-major rows [n*oh*ow, c] as an
 // [n,c,oh,ow] activation, sharded by image. Every destination element is
 // overwritten.
-func rowsToNCHWKernel[E element](dst, rows []E, n, c, oh, ow int) {
+func rowsToNCHWKernel(dst, rows []float64, n, c, oh, ow int) {
 	if w := parWorkers(n * c * oh * ow); w >= 2 {
 		parallel.For(n, w, func(imgLo, imgHi int) { rowsToNCHWRange(dst, rows, c, oh, ow, imgLo, imgHi) })
 		return
@@ -482,7 +474,7 @@ func rowsToNCHWKernel[E element](dst, rows []E, n, c, oh, ow int) {
 
 // nchwToRowsRange converts the image window [imgLo, imgHi): each
 // image's c planes transpose into its [h·w, c] rows.
-func nchwToRowsRange[E element](dst, x []E, c, h, w, imgLo, imgHi int) {
+func nchwToRowsRange(dst, x []float64, c, h, w, imgLo, imgHi int) {
 	hw := h * w
 	for img := imgLo; img < imgHi; img++ {
 		out := dst[img*hw*c : (img+1)*hw*c]
@@ -499,7 +491,7 @@ func nchwToRowsRange[E element](dst, x []E, c, h, w, imgLo, imgHi int) {
 // nchwToRowsKernel converts [n,c,h,w] to position-major rows [n*h*w, c];
 // the inverse of rowsToNCHWKernel. Every destination element is
 // overwritten.
-func nchwToRowsKernel[E element](dst, x []E, n, c, h, w int) {
+func nchwToRowsKernel(dst, x []float64, n, c, h, w int) {
 	if ww := parWorkers(n * c * h * w); ww >= 2 {
 		parallel.For(n, ww, func(imgLo, imgHi int) { nchwToRowsRange(dst, x, c, h, w, imgLo, imgHi) })
 		return
@@ -509,7 +501,7 @@ func nchwToRowsKernel[E element](dst, x []E, n, c, h, w int) {
 
 // addRowVector adds the [cols] vector v to every row of the [rows, cols]
 // matrix m in place.
-func addRowVector[E element](m, v []E, rows, cols int) {
+func addRowVector(m, v []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := m[r*cols : (r+1)*cols]
 		for c := range row {
@@ -520,7 +512,7 @@ func addRowVector[E element](m, v []E, rows, cols int) {
 
 // sumRows accumulates the column sums of the [rows, cols] matrix m into
 // dst, which must be zero-filled for a plain sum.
-func sumRows[E element](dst, m []E, rows, cols int) {
+func sumRows(dst, m []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := m[r*cols : (r+1)*cols]
 		for c, v := range row {

@@ -2,8 +2,8 @@ package tensor
 
 import "tdfm/internal/parallel"
 
-// The float64 products of Tensor.MatMul*: the AVX2 block kernel where the
-// CPU has it, the generic Go kernels of kernels.go elsewhere. The AVX2
+// The products of Tensor.MatMul*: the AVX2 block kernel where the CPU
+// has it, the Go kernels of kernels.go elsewhere. The AVX2
 // paths tile the output into 4-row × 8-column blocks; rows past the last
 // block and columns past the last strip run on the Go kernels, whose
 // per-element arithmetic (one rounded multiply, then one rounded add, in

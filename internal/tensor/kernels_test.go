@@ -14,8 +14,8 @@ import (
 // its terms one at a time in ascending p, starting from +0.
 
 // refGemm returns a × b for a [m,k], b [k,n].
-func refGemm[E element](a, b []E, m, k, n int) []E {
-	out := make([]E, m*n)
+func refGemm(a, b []float64, m, k, n int) []float64 {
+	out := make([]float64, m*n)
 	for i := 0; i < m; i++ {
 		ti := a[i*k : (i+1)*k]
 		oi := out[i*n : (i+1)*n]
@@ -34,8 +34,8 @@ func refGemm[E element](a, b []E, m, k, n int) []E {
 }
 
 // refGemmTransA returns aᵀ × b for a [k,m], b [k,n].
-func refGemmTransA[E element](a, b []E, k, m, n int) []E {
-	out := make([]E, m*n)
+func refGemmTransA(a, b []float64, k, m, n int) []float64 {
+	out := make([]float64, m*n)
 	for p := 0; p < k; p++ {
 		tp := a[p*m : (p+1)*m]
 		up := b[p*n : (p+1)*n]
@@ -53,13 +53,13 @@ func refGemmTransA[E element](a, b []E, k, m, n int) []E {
 }
 
 // refGemmTransB returns a × bᵀ for a [m,k], b [n,k].
-func refGemmTransB[E element](a, b []E, m, k, n int) []E {
-	out := make([]E, m*n)
+func refGemmTransB(a, b []float64, m, k, n int) []float64 {
+	out := make([]float64, m*n)
 	for i := 0; i < m; i++ {
 		ti := a[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
 			uj := b[j*k : (j+1)*k]
-			var s E
+			var s float64
 			for p, av := range ti {
 				s += av * uj[p]
 			}
@@ -72,28 +72,27 @@ func refGemmTransB[E element](a, b []E, m, k, n int) []E {
 // randOperand returns size normal values with exact +0 and −0 planted
 // every few elements, so the signed-zero argument for dropping the
 // zero-skip branch is exercised in both operands.
-func randOperand[E element](rng *xrand.RNG, size int) []E {
-	out := make([]E, size)
+func randOperand(rng *xrand.RNG, size int) []float64 {
+	out := make([]float64, size)
 	negZero := math.Copysign(0, -1)
 	for i := range out {
 		switch rng.IntN(7) {
 		case 0:
 			out[i] = 0
 		case 1:
-			out[i] = E(negZero)
+			out[i] = negZero
 		default:
-			out[i] = E(rng.NormFloat64())
+			out[i] = rng.NormFloat64()
 		}
 	}
 	return out
 }
 
 // sameBits reports the first index at which got and want differ in their
-// IEEE-754 bits (float32 widens to float64 exactly, signed zeros
-// included), or -1.
-func sameBits[E element](got, want []E) int {
+// IEEE-754 bits (signed zeros included), or -1.
+func sameBits(got, want []float64) int {
 	for i := range want {
-		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			return i
 		}
 	}
@@ -126,18 +125,6 @@ func avx2Legs(t *testing.T, body func(t *testing.T)) {
 	}
 }
 
-// products are the three matrix products one precision runs: the
-// float64 drivers behind Tensor.MatMul* (AVX2 or Go, per useAVX2), or
-// the generic kernels behind F32.
-type products[E element] struct {
-	gemm, transA, transB func(dst, a, b []E, x, y, z int)
-}
-
-var (
-	products64 = products[float64]{gemmF64, gemmTransAF64, gemmTransBF64}
-	products32 = products[float32]{gemm[float32], gemmTransA[float32], gemmTransB[float32]}
-)
-
 // guard is the sentinel planted around every destination window, so a
 // kernel that writes outside its slice is caught.
 const guard = -12345.5
@@ -147,9 +134,9 @@ const guard = -12345.5
 // reports whether the sentinels survived. An odd off puts float64 operands off
 // every 16- and 32-byte boundary, so the AVX2 kernel's loads and stores
 // run unaligned.
-func window[E element](vals []E, off int) ([]E, func() bool) {
+func window(vals []float64, off int) ([]float64, func() bool) {
 	const pad = 9
-	buf := make([]E, off+len(vals)+pad)
+	buf := make([]float64, off+len(vals)+pad)
 	for i := range buf {
 		buf[i] = guard
 	}
@@ -174,23 +161,23 @@ func window[E element](vals []E, off int) ([]E, func() bool) {
 // the current parallelism, with every operand and destination starting
 // off elements into its buffer, and compares every element with the
 // reference loops bit for bit.
-func checkKernelsAgainstReference[E element](t *testing.T, prod products[E], rng *xrand.RNG, label string, m, k, n, off int) {
+func checkKernelsAgainstReference(t *testing.T, rng *xrand.RNG, label string, m, k, n, off int) {
 	t.Helper()
-	a, _ := window(randOperand[E](rng.Split("a"), m*k), off)   // [m,k]
-	b, _ := window(randOperand[E](rng.Split("b"), k*n), off)   // [k,n]
-	at, _ := window(randOperand[E](rng.Split("at"), k*m), off) // [k,m]
-	bt, _ := window(randOperand[E](rng.Split("bt"), n*k), off) // [n,k]
+	a, _ := window(randOperand(rng.Split("a"), m*k), off)   // [m,k]
+	b, _ := window(randOperand(rng.Split("b"), k*n), off)   // [k,n]
+	at, _ := window(randOperand(rng.Split("at"), k*m), off) // [k,m]
+	bt, _ := window(randOperand(rng.Split("bt"), n*k), off) // [n,k]
 
 	for _, c := range []struct {
 		name string
-		run  func(dst []E)
-		want []E
-		init []E
+		run  func(dst []float64)
+		want []float64
+		init []float64
 	}{
-		{"gemm", func(dst []E) { prod.gemm(dst, a, b, m, k, n) }, refGemm(a, b, m, k, n), make([]E, m*n)},
-		{"gemmTransA", func(dst []E) { prod.transA(dst, at, b, k, m, n) }, refGemmTransA(at, b, k, m, n), make([]E, m*n)},
+		{"gemm", func(dst []float64) { gemmF64(dst, a, b, m, k, n) }, refGemm(a, b, m, k, n), make([]float64, m*n)},
+		{"gemmTransA", func(dst []float64) { gemmTransAF64(dst, at, b, k, m, n) }, refGemmTransA(at, b, k, m, n), make([]float64, m*n)},
 		// gemmTransB overwrites, so start from garbage rather than zeros.
-		{"gemmTransB", func(dst []E) { prod.transB(dst, a, bt, m, k, n) }, refGemmTransB(a, bt, m, k, n), randOperand[E](rng.Split("dst"), m*n)},
+		{"gemmTransB", func(dst []float64) { gemmTransBF64(dst, a, bt, m, k, n) }, refGemmTransB(a, bt, m, k, n), randOperand(rng.Split("dst"), m*n)},
 	} {
 		got, intact := window(c.init, off)
 		c.run(got)
@@ -204,8 +191,8 @@ func checkKernelsAgainstReference[E element](t *testing.T, prod products[E], rng
 }
 
 // TestKernelsMatchReferenceBitwise pins the products to the reference
-// loops for both precisions, both float64 paths (AVX2 and Go) and worker
-// counts 1, 2 and 4, over shapes that reach every block and tail: a lone
+// loops on both paths (AVX2 and Go) and worker counts 1, 2 and 4, over
+// shapes that reach every block and tail: a lone
 // row (the single-request Dense shape), row counts that leave one to
 // three rows after the last 4-row block and one or two after the last
 // 3-row Go block (the aliased rows), widths that leave 0 to 7 columns
@@ -248,8 +235,7 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 					for _, off := range []int{0, 1} {
 						rng := xrand.New(uint64(m*1000003 + k*1009 + n))
 						label := fmt.Sprintf("[%d,%d,%d]+%d @%dw", m, k, n, off, workers)
-						checkKernelsAgainstReference(t, products64, rng.Split("f64"), label+" f64", m, k, n, off)
-						checkKernelsAgainstReference(t, products32, rng.Split("f32"), label+" f32", m, k, n, off)
+						checkKernelsAgainstReference(t, rng, label, m, k, n, off)
 					}
 				}
 			})

@@ -39,15 +39,13 @@ var (
 	poolEnabled     atomic.Bool
 	poisonWriteOnce atomic.Bool
 
-	pool64 [numBuckets]sync.Pool
-	pool32 [numBuckets]sync.Pool
+	pools [numBuckets]sync.Pool
 
-	// boxes64/boxes32 cache the *[]E headers that carry slices through the
+	// boxes caches the *[]float64 headers that carry slices through the
 	// bucket pools: storing a slice in an interface heap-allocates its
 	// header, storing a pointer does not, so recycling the header keeps the
 	// steady-state PutBuf/GetBuf round trip allocation-free.
-	boxes64 sync.Pool
-	boxes32 sync.Pool
+	boxes sync.Pool
 
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
@@ -132,10 +130,8 @@ func bucketIndex(n int) int {
 
 // getPooled serves a slice of length n from the bucketed pool, falling
 // back to make. A reused buffer is cleared when zero is set and keeps its
-// stale contents otherwise; a fresh one is zero-filled either way. Generic
-// over the two storage element types so the float64 and float32 pools
-// share one implementation.
-func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
+// stale contents otherwise; a fresh one is zero-filled either way.
+func getPooled(n int, zero bool) []float64 {
 	if n < 0 {
 		panic(fmt.Sprintf("tensor: GetBuf of negative size %d", n))
 	}
@@ -143,10 +139,9 @@ func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int,
 	if b >= numBuckets {
 		panic(fmt.Sprintf("tensor: GetBuf of %d elements exceeds the largest pool bucket", n))
 	}
-	var elem E
 	if poolEnabled.Load() {
 		if v := pools[b].Get(); v != nil {
-			bp := v.(*[]E)
+			bp := v.(*[]float64)
 			s := *bp
 			*bp = nil
 			boxes.Put(bp)
@@ -155,7 +150,7 @@ func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int,
 				clear(buf)
 			}
 			poolHits.Add(1)
-			poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
+			poolBytes.Add(uint64(n) * 8)
 			return buf
 		}
 	}
@@ -164,23 +159,25 @@ func getPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int,
 		// Reference behaviour: a plain allocation with no bucket capacity.
 		// Such a buffer is not returnable to the pool; PutBuf is a no-op
 		// while pooling is off.
-		return make([]E, n)
+		return make([]float64, n)
 	}
-	return make([]E, n, 1<<b)
+	return make([]float64, n, 1<<b)
 }
 
-// elemBytes reports the byte size of a pool element without importing
-// unsafe: the pool stores only float32 and float64.
-func elemBytes[E element](e E) int {
-	if _, ok := any(e).(float32); ok {
-		return 4
-	}
-	return 8
-}
+// GetBuf returns a zero-filled []float64 of length n, reusing a pooled
+// buffer when one is available. The result is semantically identical to
+// make([]float64, n); reuse only changes where the memory comes from, so
+// pooled and unpooled runs produce byte-identical numerics. Pass the
+// buffer to PutBuf when its lifetime ends, or simply drop it (the GC
+// reclaims unreturned buffers; the pool never leaks them into live data).
+func GetBuf(n int) []float64 { return getPooled(n, true) }
 
-// putPooled returns a buffer obtained from getPooled to its bucket. See
-// PutBuf for the foreign-buffer panic contract.
-func putPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, buf []E) {
+// PutBuf returns a buffer obtained from GetBuf to the pool. It panics if
+// buf did not come from GetBuf (detected by a capacity that is not a pool
+// bucket size): returning foreign memory would hand aliased storage to a
+// future GetBuf caller. The caller must not retain or read buf after the
+// call. PutBuf is a no-op while pooling is disabled.
+func PutBuf(buf []float64) {
 	if !poolEnabled.Load() || cap(buf) == 0 {
 		return
 	}
@@ -192,37 +189,15 @@ func putPooled[E element](pools *[numBuckets]sync.Pool, boxes *sync.Pool, buf []
 	if b >= numBuckets {
 		return
 	}
-	var bp *[]E
+	var bp *[]float64
 	if v := boxes.Get(); v != nil {
-		bp = v.(*[]E)
+		bp = v.(*[]float64)
 	} else {
-		bp = new([]E)
+		bp = new([]float64)
 	}
 	*bp = buf[:c]
 	pools[b].Put(bp)
 }
-
-// GetBuf returns a zero-filled []float64 of length n, reusing a pooled
-// buffer when one is available. The result is semantically identical to
-// make([]float64, n); reuse only changes where the memory comes from, so
-// pooled and unpooled runs produce byte-identical numerics. Pass the
-// buffer to PutBuf when its lifetime ends, or simply drop it (the GC
-// reclaims unreturned buffers; the pool never leaks them into live data).
-func GetBuf(n int) []float64 { return getPooled[float64](&pool64, &boxes64, n, true) }
-
-// PutBuf returns a buffer obtained from GetBuf to the pool. It panics if
-// buf did not come from GetBuf (detected by a capacity that is not a pool
-// bucket size): returning foreign memory would hand aliased storage to a
-// future GetBuf caller. The caller must not retain or read buf after the
-// call. PutBuf is a no-op while pooling is disabled.
-func PutBuf(buf []float64) { putPooled(&pool64, &boxes64, buf) }
-
-// GetBuf32 is GetBuf for float32 storage (the inference precision mode).
-func GetBuf32(n int) []float32 { return getPooled[float32](&pool32, &boxes32, n, true) }
-
-// PutBuf32 is PutBuf for float32 buffers, with the same foreign-buffer
-// panic contract.
-func PutBuf32(buf []float32) { putPooled(&pool32, &boxes32, buf) }
 
 // NewPooled returns a zero-filled tensor like New, but with pool-backed
 // storage that Release returns for reuse. With pooling disabled it is
@@ -256,80 +231,76 @@ func (t *Tensor) Release() {
 // by an arena stay live until Reset, which recycles them all onto the
 // arena's freelists for the next round of identical allocations. The
 // training loop resets its model's arena after every optimizer step; the
-// inference path resets after every predicted chunk. Release returns all
-// storage to the global pool when the arena's owner is done.
+// inference path resets after every predicted chunk. Within an
+// inference forward, Mark and RecycleSince return each layer's dead
+// activations early, so the arena holds the pass's live set rather than
+// the sum of its activations. Release returns all storage to the global
+// pool when the arena's owner is done.
 //
-// Two kinds of handout share the freelists. Buf, Buf32, Tensor,
-// TensorLike and F32 are zero-filled like make, for destinations that
-// accumulate (matrix products, column sums, scatters) or write only some
-// elements. WriteOnce and WriteOnceLike skip the fill and return stale
-// contents, for destinations whose every element the caller overwrites
-// before reading any: a recycled buffer then costs no memory pass.
+// Two kinds of handout share the freelists. Buf, Tensor and TensorLike
+// are zero-filled like make, for destinations that accumulate (matrix
+// products, column sums, scatters) or write only some elements.
+// WriteOnce and WriteOnceLike skip the fill and return stale contents,
+// for destinations whose every element the caller overwrites before
+// reading any: a recycled buffer then costs no memory pass.
 //
 // An Arena is not safe for concurrent use — it serves a single network,
 // and networks already require external serialization (see package nn).
 // Arena-backed tensors must never be individually Released, and callers
 // must not retain them across a Reset: the storage is handed out again.
 type Arena struct {
-	free64 [numBuckets][][]float64
-	live64 [numBuckets][][]float64
-	free32 [numBuckets][][]float32
-	live32 [numBuckets][][]float32
+	free [numBuckets][][]float64
+	// live lists every buffer handed out since the last Reset, in handout
+	// order, each at its full bucket capacity; an ArenaMark is a position
+	// in it.
+	live [][]float64
 
-	// Tensor and F32 wrapper structs are recycled alongside their storage,
-	// so a steady-state arena allocation performs no heap allocation at
-	// all (the shape slice is reused in place when capacity allows).
+	// Tensor wrapper structs are recycled alongside their storage, so a
+	// steady-state arena allocation performs no heap allocation at all
+	// (the shape slice is reused in place when capacity allows).
 	freeT []*Tensor
 	liveT []*Tensor
-	freeF []*F32
-	liveF []*F32
 }
+
+// ArenaMark is a point in an arena's handout sequence (see Arena.Mark).
+type ArenaMark struct{ bufs, tensors int }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// arenaGet hands out a length-n slice from the arena freelist, falling
-// back to the global pool; the buffer is tracked as live until the next
-// Reset. It is zero-filled when zero is set and holds stale contents
-// otherwise. With pooling disabled it degrades to plain make and tracks
-// nothing, restoring the reference allocation behaviour.
-func arenaGet[E element](free, live *[numBuckets][][]E, pools *[numBuckets]sync.Pool, boxes *sync.Pool, n int, zero bool) []E {
+// get hands out a length-n slice from the arena freelist, falling back
+// to the global pool; the buffer is tracked as live until it is recycled.
+// It is zero-filled when zero is set and holds stale contents otherwise.
+// With pooling disabled it degrades to plain make and tracks nothing,
+// restoring the reference allocation behaviour.
+func (a *Arena) get(n int, zero bool) []float64 {
 	if !poolEnabled.Load() {
 		poolMisses.Add(1)
-		return make([]E, n)
+		return make([]float64, n)
 	}
 	b := bucketIndex(n)
 	if b >= numBuckets {
 		panic(fmt.Sprintf("tensor: arena allocation of %d elements exceeds the largest pool bucket", n))
 	}
-	if l := len(free[b]); l > 0 {
-		buf := free[b][l-1]
-		free[b] = free[b][:l-1]
-		buf = buf[:n]
+	var buf []float64
+	if l := len(a.free[b]); l > 0 {
+		buf = a.free[b][l-1][:n]
+		a.free[b] = a.free[b][:l-1]
 		if zero {
 			clear(buf)
 		}
-		var elem E
 		poolHits.Add(1)
-		poolBytes.Add(uint64(n) * uint64(elemBytes(elem)))
-		live[b] = append(live[b], buf[:cap(buf)])
-		return buf
+		poolBytes.Add(uint64(n) * 8)
+	} else {
+		buf = getPooled(n, zero)
 	}
-	buf := getPooled[E](pools, boxes, n, zero)
-	live[b] = append(live[b], buf[:cap(buf)])
+	a.live = append(a.live, buf[:cap(buf)])
 	return buf
 }
 
 // Buf returns a zero-filled []float64 of length n owned by the arena
 // (reclaimed at the next Reset, like Tensor).
-func (a *Arena) Buf(n int) []float64 {
-	return arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, true)
-}
-
-// Buf32 is Buf for float32 storage.
-func (a *Arena) Buf32(n int) []float32 {
-	return arenaGet(&a.free32, &a.live32, &pool32, &boxes32, n, true)
-}
+func (a *Arena) Buf(n int) []float64 { return a.get(n, true) }
 
 // Tensor returns a zero-filled tensor of the given shape backed by arena
 // storage. It is semantically identical to New; the storage is reclaimed
@@ -368,7 +339,7 @@ func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	} else {
 		t = &Tensor{shape: append([]int(nil), shape...)}
 	}
-	t.data = arenaGet(&a.free64, &a.live64, &pool64, &boxes64, n, zero)
+	t.data = a.get(n, zero)
 	if !zero && poisonWriteOnce.Load() {
 		nan := math.NaN()
 		for i := range t.data {
@@ -379,24 +350,57 @@ func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	return t
 }
 
-// F32 returns a zero-filled float32 tensor of the given shape backed by
-// arena storage, with the same lifetime contract as Tensor.
-func (a *Arena) F32(shape ...int) *F32 {
-	n := checkShape(shape)
-	if !poolEnabled.Load() {
-		return NewF32(shape...)
+// Mark records the arena's current point in its handout sequence for a
+// later RecycleSince. A mark is valid until the next Reset.
+func (a *Arena) Mark() ArenaMark { return ArenaMark{len(a.live), len(a.liveT)} }
+
+// RecycleSince returns every buffer and tensor handed out since m to the
+// freelists, except the storage backing keep (nil keeps nothing). Storage
+// is matched by its backing array, so keep may be a handout itself or a
+// view sharing a handout's storage to its end (a Reshape, not a SliceRows
+// of leading rows); storage handed out before m — the caller's input,
+// say — is never touched. Recycled tensors are detached from their
+// storage as Reset detaches them. With pooling disabled nothing is
+// tracked and it does nothing.
+func (a *Arena) RecycleSince(m ArenaMark, keep *Tensor) {
+	var end *float64
+	if keep != nil {
+		end = storageEnd(keep.data)
 	}
-	var f *F32
-	if l := len(a.freeF); l > 0 {
-		f = a.freeF[l-1]
-		a.freeF = a.freeF[:l-1]
-		f.shape = append(f.shape[:0], shape...)
-	} else {
-		f = &F32{shape: append([]int(nil), shape...)}
+	kept := m.bufs
+	for _, buf := range a.live[m.bufs:] {
+		if end != nil && storageEnd(buf) == end {
+			a.live[kept] = buf
+			kept++
+			continue
+		}
+		b := bucketIndex(cap(buf))
+		a.free[b] = append(a.free[b], buf)
 	}
-	f.data = a.Buf32(n)
-	a.liveF = append(a.liveF, f)
-	return f
+	a.live = a.live[:kept]
+	kept = m.tensors
+	for _, t := range a.liveT[m.tensors:] {
+		if end != nil && storageEnd(t.data) == end {
+			a.liveT[kept] = t
+			kept++
+			continue
+		}
+		// Detach the recycled wrapper so a retained reference fails fast
+		// (nil data) instead of silently reading reissued memory.
+		t.data = nil
+		a.freeT = append(a.freeT, t)
+	}
+	a.liveT = a.liveT[:kept]
+}
+
+// storageEnd identifies s's backing array by the address of its last
+// element within capacity, which every reslice that keeps the capacity
+// shares; it is nil for a slice with no capacity.
+func storageEnd(s []float64) *float64 {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:cap(s)][cap(s)-1]
 }
 
 // Reset recycles every live arena allocation onto the freelists. All
@@ -405,48 +409,19 @@ func (a *Arena) F32(shape ...int) *F32 {
 // it at points where nothing from the previous round is referenced (after
 // an optimizer step, after an inference chunk's result has been copied
 // out).
-func (a *Arena) Reset() {
-	for b := range a.live64 {
-		a.free64[b] = append(a.free64[b], a.live64[b]...)
-		a.live64[b] = a.live64[b][:0]
-	}
-	for b := range a.live32 {
-		a.free32[b] = append(a.free32[b], a.live32[b]...)
-		a.live32[b] = a.live32[b][:0]
-	}
-	// Detach recycled wrappers from their storage so a retained reference
-	// fails fast (nil data) instead of silently reading reissued memory.
-	for _, t := range a.liveT {
-		t.data = nil
-	}
-	a.freeT = append(a.freeT, a.liveT...)
-	a.liveT = a.liveT[:0]
-	for _, f := range a.liveF {
-		f.data = nil
-	}
-	a.freeF = append(a.freeF, a.liveF...)
-	a.liveF = a.liveF[:0]
-}
+func (a *Arena) Reset() { a.RecycleSince(ArenaMark{}, nil) }
 
 // Release returns all arena storage — live and free — to the global pool
 // and empties the arena. The arena remains usable afterwards; it simply
 // starts cold.
 func (a *Arena) Release() {
 	a.Reset()
-	for b := range a.free64 {
-		for _, buf := range a.free64[b] {
+	for b := range a.free {
+		for _, buf := range a.free[b] {
 			PutBuf(buf)
 		}
-		a.free64[b] = nil
-		a.live64[b] = nil
+		a.free[b] = nil
 	}
-	for b := range a.free32 {
-		for _, buf := range a.free32[b] {
-			PutBuf32(buf)
-		}
-		a.free32[b] = nil
-		a.live32[b] = nil
-	}
+	a.live = nil
 	a.freeT, a.liveT = nil, nil
-	a.freeF, a.liveF = nil, nil
 }

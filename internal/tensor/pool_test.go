@@ -124,8 +124,6 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		a := NewArena()
 		x := a.Tensor(8, 8)
 		x.Fill(3.5)
-		buf32 := a.Buf32(16)
-		buf32[0] = 1
 
 		a.Reset()
 		ResetStats()
@@ -137,15 +135,6 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		}
 		if s := Stats(); s.Hits != 1 || s.Misses != 0 {
 			t.Fatalf("arena reuse not counted as a hit: %+v", s)
-		}
-		f := a.F32(4, 4)
-		if s := Stats(); s.Hits != 2 {
-			t.Fatalf("f32 arena reuse not counted: %+v", s)
-		}
-		for i, v := range f.Data() {
-			if v != 0 {
-				t.Fatalf("arena handed out dirty f32 storage at %d: %v", i, v)
-			}
 		}
 		a.Release()
 	})
@@ -202,6 +191,104 @@ func TestArenaWriteOnce(t *testing.T) {
 	})
 }
 
+// TestArenaRecycleSince pins early recycling: handouts after a mark
+// return to the freelists except the storage backing keep, whether keep
+// is a handout, a Reshape view of one, or a pass-through input from
+// before the mark; an inner mark recycles only its own span; with
+// pooling off nothing is tracked; and a steady-state round allocates
+// nothing.
+func TestArenaRecycleSince(t *testing.T) {
+	withPooling(t, true, func() {
+		a := NewArena()
+		in := a.Tensor(4, 4)
+		in.Fill(1)
+
+		m := a.Mark()
+		dead, scratch := a.Tensor(4, 4), a.Buf(16)
+		scratch[0] = 5
+		out := a.WriteOnce(4, 4)
+		out.Fill(2)
+		a.RecycleSince(m, out)
+		if dead.Data() != nil {
+			t.Fatal("recycled tensor still attached to its storage")
+		}
+		if out.Data()[15] != 2 || in.Data()[15] != 1 {
+			t.Fatalf("kept storage changed: out %v, in %v", out.Data()[15], in.Data()[15])
+		}
+		ResetStats()
+		r1, r2 := a.WriteOnce(4, 4), a.WriteOnce(4, 4)
+		if s := Stats(); s.Hits != 2 || s.Misses != 0 {
+			t.Fatalf("recycled storage not reissued: %+v", s)
+		}
+		for _, r := range []*Tensor{r1, r2} {
+			if end := storageEnd(r.Data()); end == storageEnd(out.Data()) || end == storageEnd(in.Data()) {
+				t.Fatal("kept storage reissued")
+			}
+		}
+
+		// A Reshape view keeps its base's storage.
+		m = a.Mark()
+		base := a.WriteOnce(2, 32)
+		base.Fill(3)
+		view := base.Reshape(64)
+		a.RecycleSince(m, view)
+		if base.Data() == nil || view.Data()[63] != 3 {
+			t.Fatal("storage behind a kept Reshape view was recycled")
+		}
+		ResetStats()
+		a.Buf(64)
+		if s := Stats(); s.Hits != 0 || s.Misses != 1 {
+			t.Fatalf("storage behind a kept view reissued: %+v", s)
+		}
+
+		// A pass-through input from before the mark is kept; everything
+		// after the mark goes.
+		m = a.Mark()
+		tmp := a.Tensor(8, 8)
+		a.RecycleSince(m, in)
+		if tmp.Data() != nil || in.Data()[0] != 1 {
+			t.Fatal("pass-through input not kept or handout after the mark not recycled")
+		}
+
+		// Nested marks: the inner span recycles first, the outer one later.
+		outer := a.Mark()
+		o1 := a.Tensor(3, 3)
+		inner := a.Mark()
+		i1, i2 := a.Tensor(3, 3), a.Tensor(3, 3)
+		a.RecycleSince(inner, i2)
+		if i1.Data() != nil || o1.Data() == nil || i2.Data() == nil {
+			t.Fatal("inner RecycleSince reached outside its span or missed a handout")
+		}
+		a.RecycleSince(outer, i2)
+		if o1.Data() != nil || i2.Data() == nil {
+			t.Fatal("outer RecycleSince did not recycle its span around the kept tensor")
+		}
+
+		a.Reset()
+		allocs := testing.AllocsPerRun(100, func() {
+			m := a.Mark()
+			x := a.WriteOnce(4, 4)
+			y := a.Tensor(4, 4)
+			a.RecycleSince(m, x)
+			_ = y
+			a.Reset()
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state mark/recycle round allocates %v times", allocs)
+		}
+		a.Release()
+	})
+	withPooling(t, false, func() {
+		a := NewArena()
+		m := a.Mark()
+		x := a.Tensor(2, 2)
+		a.RecycleSince(m, nil)
+		if x.Data() == nil {
+			t.Fatal("RecycleSince detached a tensor with pooling off")
+		}
+	})
+}
+
 // TestPoolStressConcurrent hammers Get/Put from many goroutines, each
 // verifying that its buffers are never aliased with another goroutine's
 // live buffer. Run under -race by make test-race and make serve-chaos's
@@ -222,14 +309,12 @@ func TestPoolStressConcurrent(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					n := sizes[(id+r)%len(sizes)]
 					buf := GetBuf(n)
-					buf32 := GetBuf32(n)
 					stamp := float64(id*1_000_000 + r)
 					for i := range buf {
 						buf[i] = stamp
-						buf32[i] = float32(id + 1)
 					}
 					for i := range buf {
-						if buf[i] != stamp || buf32[i] != float32(id+1) {
+						if buf[i] != stamp {
 							select {
 							case errs <- "buffer aliased across goroutines":
 							default:
@@ -238,7 +323,6 @@ func TestPoolStressConcurrent(t *testing.T) {
 						}
 					}
 					PutBuf(buf)
-					PutBuf32(buf32)
 				}
 			}(w)
 		}

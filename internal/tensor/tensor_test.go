@@ -300,3 +300,71 @@ func TestStringTruncates(t *testing.T) {
 		t.Fatalf("String length %d unreasonable: %q", len(s), s)
 	}
 }
+
+// TestIntoVariantsMatchAllocating pins the Into variants against their
+// allocating counterparts bit for bit (they share kernels; this guards
+// the wrappers' shape plumbing).
+func TestIntoVariantsMatchAllocating(t *testing.T) {
+	rng := xrand.New(11).Split("into-parity")
+	const m, k, n = 9, 11, 8
+	a := New(m, k)
+	b := New(k, n)
+	bt := New(n, k)
+	at := New(k, m)
+	for _, ten := range []*Tensor{a, b, bt, at} {
+		for i := range ten.Data() {
+			ten.Data()[i] = rng.NormFloat64()
+		}
+	}
+	checks := []struct {
+		name      string
+		want, got *Tensor
+	}{
+		{"MatMul", a.MatMul(b), a.MatMulInto(New(m, n), b)},
+		{"MatMulTransA", at.MatMulTransA(b), at.MatMulTransAInto(New(m, n), b)},
+		{"MatMulTransB", a.MatMulTransB(bt), a.MatMulTransBInto(New(m, n), bt)},
+		{"SumRows", a.SumRows(), a.SumRowsInto(New(k))},
+	}
+	for _, c := range checks {
+		for i := range c.want.Data() {
+			if c.want.Data()[i] != c.got.Data()[i] {
+				t.Fatalf("%s Into variant differs at %d", c.name, i)
+			}
+		}
+	}
+
+	x := New(2, 3, 6, 6)
+	for i := range x.Data() {
+		x.Data()[i] = rng.NormFloat64()
+	}
+	g := ConvGeom{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	oh, ow := g.OutSize(6, 6)
+	wantCols := Im2Col(x, g)
+	gotCols := Im2ColInto(New(2*oh*ow, 3*9), x, g)
+	for i := range wantCols.Data() {
+		if wantCols.Data()[i] != gotCols.Data()[i] {
+			t.Fatalf("Im2ColInto differs at %d", i)
+		}
+	}
+	wantIm := Col2Im(wantCols, 2, 3, 6, 6, g)
+	gotIm := Col2ImInto(New(2, 3, 6, 6), wantCols, g)
+	for i := range wantIm.Data() {
+		if wantIm.Data()[i] != gotIm.Data()[i] {
+			t.Fatalf("Col2ImInto differs at %d", i)
+		}
+	}
+	rows := NCHWToRows(x)
+	gotRows := NCHWToRowsInto(New(2*36, 3), x)
+	for i := range rows.Data() {
+		if rows.Data()[i] != gotRows.Data()[i] {
+			t.Fatalf("NCHWToRowsInto differs at %d", i)
+		}
+	}
+	wantBack := RowsToNCHW(rows, 2, 3, 6, 6)
+	gotBack := RowsToNCHWInto(New(2, 3, 6, 6), rows)
+	for i := range wantBack.Data() {
+		if wantBack.Data()[i] != gotBack.Data()[i] {
+			t.Fatalf("RowsToNCHWInto differs at %d", i)
+		}
+	}
+}
