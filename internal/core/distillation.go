@@ -58,6 +58,11 @@ func (k KnowledgeDistillation) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (C
 	if err := trainLoop(teacher.net, ts.Data, loss.CrossEntropy{}, cfg, rng.Split("teacher-train"), nil, nil); err != nil {
 		return nil, err
 	}
+	// The student's training refills the teacher's arena with eval
+	// forwards; hand those buffers back too once the student is trained.
+	if a := teacher.net.Arena(); a != nil {
+		defer a.Release()
+	}
 
 	// Student: same architecture, fresh initialization (self distillation).
 	student, bm, err := cfg.buildFor(ts.Data, rng.Split("student-init"))

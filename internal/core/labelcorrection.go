@@ -130,6 +130,9 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 	if err != nil {
 		return nil, err
 	}
+	if a := primary.net.Arena(); a != nil {
+		defer a.Release() // as trainLoop does: training's buffers go back to the pool
+	}
 	sec := newSecondary(ds.NumClasses, hidden, rng.Split("secondary-init"))
 
 	primaryOpt := opt.NewAdam(resolved.LR)
@@ -167,7 +170,7 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 			feats := sec.features(logits, noisy)
 			secLogits := sec.net.Forward(feats, true)
 			_, grad := ce.Forward(secLogits, data.OneHot(by, ds.NumClasses))
-			sec.net.Backward(grad)
+			sec.net.BackwardParams(grad)
 			secondaryOpt.Step(sec.net.Params())
 			nn.ZeroGrads(sec.net)
 			// The primary ran inference-only this phase; its activations
@@ -193,7 +196,7 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 			target := data.OneHot(by, ds.NumClasses).ScaleIn(1 - lambda)
 			target.AddScaledIn(lambda, corrected)
 			_, grad := ce.Forward(logits, target)
-			primary.net.Backward(grad)
+			primary.net.BackwardParams(grad)
 			primaryOpt.Step(primary.net.Params())
 			nn.ZeroGrads(primary.net)
 			if a := primary.net.Arena(); a != nil {

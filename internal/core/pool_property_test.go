@@ -90,3 +90,59 @@ func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 		})
 	}
 }
+
+// TestBackwardParamsMatchesBackward pins the training loops' backward
+// (nn.Sequential.BackwardParams, which skips the first layer's input
+// gradient) to the full Backward on every study architecture: each
+// parameter gradient must be bit-identical. Write-once handouts arrive
+// NaN-poisoned, so a skipped computation that some gradient still read
+// would show as NaN.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	const h, w = 8, 8
+	oldPool := tensor.PoolingEnabled()
+	defer tensor.SetPooling(oldPool)
+	tensor.SetPooling(true)
+	tensor.SetPoisonWriteOnce(true)
+	defer tensor.SetPoisonWriteOnce(false)
+	x := tensor.New(16, 1, h, w)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i%13)/13 - 0.5
+	}
+	for _, arch := range models.StudyModels() {
+		t.Run(arch, func(t *testing.T) {
+			grads := func(full bool) [][]float64 {
+				net, err := models.Build(arch, models.BuildConfig{
+					InChannels: 1, Height: h, Width: w, NumClasses: 3,
+					WidthMult: 0.25, RNG: xrand.New(7).Split(arch),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn.InstallArena(net, tensor.NewArena())
+				logits := net.Forward(x, true)
+				dout := tensor.NewLike(logits)
+				for i := range dout.Data() {
+					dout.Data()[i] = float64(i%7)/7 - 0.3
+				}
+				if full {
+					net.Backward(dout)
+				} else {
+					net.BackwardParams(dout)
+				}
+				var out [][]float64
+				for _, p := range net.Params() {
+					out = append(out, append([]float64(nil), p.Grad.Data()...))
+				}
+				return out
+			}
+			full, params := grads(true), grads(false)
+			for i := range full {
+				for j := range full[i] {
+					if math.Float64bits(full[i][j]) != math.Float64bits(params[i][j]) {
+						t.Fatalf("param %d grad[%d]: BackwardParams %v, Backward %v", i, j, params[i][j], full[i][j])
+					}
+				}
+			}
+		})
+	}
+}

@@ -141,6 +141,12 @@ func trainLoop(
 	if err != nil {
 		return err
 	}
+	if a := net.Arena(); a != nil {
+		// Training's buffers are dead once the loop returns. In the global
+		// pool they serve the next network on this worker (an ensemble
+		// member, a KD student, the next cell) and this one's eval forwards.
+		defer a.Release()
+	}
 	if targets == nil {
 		// Default one-hot targets draw from the network's arena when one is
 		// installed: the target tensor is dead after the batch's loss
@@ -209,7 +215,8 @@ func runEpochs(
 	if arena != nil {
 		// Every return leaves the arena reset, so a recovery attempt reuses
 		// this attempt's buffers instead of allocating a second set while
-		// the first is still live.
+		// the first is still live. The arena keeps them until trainLoop
+		// releases it.
 		defer arena.Reset()
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -244,7 +251,7 @@ func runEpochs(
 			if math.IsNaN(l) || math.IsInf(l, 0) {
 				return fmt.Errorf("loss diverged to %v at epoch %d", l, epoch), nil
 			}
-			net.Backward(grad)
+			net.BackwardParams(grad)
 			norm := opt.ClipGradNorm(params, clip)
 			// With clipping on, any finite explosion is contained by the
 			// rescale; only a non-finite norm (NaN/Inf gradients) forces a

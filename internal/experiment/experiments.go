@@ -42,6 +42,17 @@ type Panel struct {
 // Techniques returns the panel's technique order.
 func (p *Panel) Techniques() []string { return TechniquesFor(p.FaultType) }
 
+// panelCells lists every cell a figure panel measures.
+func (r *Runner) panelCells(ds, arch string, ft faultinject.Type, rates []float64) []cellReq {
+	var cells []cellReq
+	for _, tech := range TechniquesFor(ft) {
+		for _, rate := range rates {
+			cells = append(cells, r.measureCells(ds, tech, arch, []FaultSpec{{Type: ft, Rate: rate}})...)
+		}
+	}
+	return cells
+}
+
 // RunPanel measures one figure panel.
 func (r *Runner) RunPanel(ds, arch string, ft faultinject.Type, rates []float64) (*Panel, error) {
 	p := &Panel{
@@ -49,13 +60,7 @@ func (r *Runner) RunPanel(ds, arch string, ft faultinject.Type, rates []float64)
 		Rates: rates,
 		Cells: make(map[string]map[float64]Cell),
 	}
-	var cells []cellReq
-	for _, tech := range p.Techniques() {
-		for _, rate := range rates {
-			cells = append(cells, r.measureCells(ds, tech, arch, []FaultSpec{{Type: ft, Rate: rate}})...)
-		}
-	}
-	r.warm(cells)
+	r.warm(r.panelCells(ds, arch, ft, rates))
 	for _, tech := range p.Techniques() {
 		p.Cells[tech] = make(map[float64]Cell)
 		for _, rate := range rates {
@@ -85,6 +90,13 @@ func (r *Runner) Figure3(ft faultinject.Type, archs []string, rates []float64) (
 	if rates == nil {
 		rates = StudyRates()
 	}
+	// One plan for the whole figure (see warm): no barrier between panels.
+	// The panels then read the memo cache.
+	var cells []cellReq
+	for _, arch := range archs {
+		cells = append(cells, r.panelCells("gtsrblike", arch, ft, rates)...)
+	}
+	r.warm(cells)
 	out := &Figure3Result{FaultType: ft}
 	for _, arch := range archs {
 		p, err := r.RunPanel("gtsrblike", arch, ft, rates)
@@ -114,6 +126,11 @@ func (r *Runner) Figure4(arch string, ft faultinject.Type, datasets []string, ra
 	if rates == nil {
 		rates = StudyRates()
 	}
+	var cells []cellReq
+	for _, ds := range datasets {
+		cells = append(cells, r.panelCells(ds, arch, ft, rates)...)
+	}
+	r.warm(cells) // one plan for the figure, as in Figure3
 	out := &Figure4Result{Arch: arch, FaultType: ft}
 	for _, ds := range datasets {
 		p, err := r.RunPanel(ds, arch, ft, rates)

@@ -503,6 +503,17 @@ func goldenReq(ds, arch string, rep int) cellReq {
 // measurement loop to report deterministically. With Workers <= 1 (or
 // fewer than two cells to train) warm is a no-op and the measurement loop
 // trains serially, reproducing the original schedule exactly.
+//
+// The plan is sorted by a static cost, the number of models each
+// technique trains, keeping plan order within a cost. The pool's extra
+// workers take cells from the costly end, so the ensemble and KD cells
+// start first instead of straggling at the end of the grid. The caller's
+// worker takes them from the cheap end, in plan order, so the first
+// result arrives as early as in plan order (an ensemble cell finishing
+// first would add its five-model prediction to the wait). The order
+// cannot reach a result: cells are keyed and memoized. A worker that
+// finds no cell left hands its budget slot back at once, so the cells
+// still running can shard their kernels onto the freed core.
 func (r *Runner) warm(cells []cellReq) {
 	seen := make(map[string]bool, len(cells))
 	uniq := cells[:0:0]
@@ -530,26 +541,46 @@ func (r *Runner) warm(cells []cellReq) {
 	if w > len(uniq) {
 		w = len(uniq)
 	}
+	cost := make(map[string]int) // an unknown technique costs 0 and fails fast
+	for _, c := range uniq {
+		if t, err := core.Get(c.tech); err == nil {
+			cost[c.tech] = t.ModelsTrained()
+		}
+	}
+	sort.SliceStable(uniq, func(i, j int) bool { return cost[uniq[i].tech] < cost[uniq[j].tech] })
 	// Reserve budget slots for the pool's extra workers so nested fan-out
 	// (ensemble members, tensor kernels) degrades to inline execution
 	// instead of oversubscribing; Workers stays authoritative for cell
 	// concurrency even when the budget is spent.
-	granted := parallel.TryAcquire(w - 1)
-	defer parallel.Release(granted)
+	var held atomic.Int64
+	held.Store(int64(parallel.TryAcquire(w - 1)))
 
-	var next atomic.Int64
+	// taken counts the cells handed out from both ends, so the ends never
+	// hand out the same cell.
+	var taken, cheap, costly atomic.Int64
 	var wg sync.WaitGroup
-	work := func() {
+	work := func(cheapEnd bool) {
 		defer wg.Done()
+		// Out of cells: return a slot now, not when the last cell ends.
+		// The last worker to finish runs on the caller's own slot.
+		defer func() {
+			if held.Add(-1) >= 0 {
+				parallel.Release(1)
+			}
+		}()
 		for {
 			if r.Ctx != nil && r.Ctx.Err() != nil {
 				return // cancelled: stop scheduling, in-flight cells drain
 			}
-			i := int(next.Add(1)) - 1
-			if i >= len(uniq) {
+			if int(taken.Add(1)) > len(uniq) {
 				return
 			}
-			c := uniq[i]
+			var c cellReq
+			if cheapEnd {
+				c = uniq[int(cheap.Add(1))-1]
+			} else {
+				c = uniq[len(uniq)-int(costly.Add(1))]
+			}
 			// Errors are classified and tracked by Predictions; the serial
 			// measurement pass re-reports them.
 			_, _, _ = r.Predictions(c.ds, c.tech, c.arch, c.specs, c.rep)
@@ -557,9 +588,9 @@ func (r *Runner) warm(cells []cellReq) {
 	}
 	wg.Add(w)
 	for i := 1; i < w; i++ {
-		go work() //tdfm:allow nodeterminism warm-up pool predates internal/parallel; cells are memoized so order cannot leak into results
+		go work(false) //tdfm:allow nodeterminism warm-up pool predates internal/parallel; cells are memoized so order cannot leak into results
 	}
-	work()
+	work(true)
 	wg.Wait()
 }
 

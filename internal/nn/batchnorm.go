@@ -143,12 +143,13 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 		gg[ch] += sumDyXhat
 		gb[ch] += sumDy
-		k := gd[ch] * b.invStd[ch]
+		// meanDy hoists one division out of the loop. The other stays as
+		// (xh·S)/cnt: xh·(S/cnt) rounds differently.
+		k, meanDy := gd[ch]*b.invStd[ch], sumDy/cnt
 		for img := 0; img < n; img++ {
 			base := (img*b.ch + ch) * plane
 			for i := 0; i < plane; i++ {
-				dy := dod[base+i]
-				dxd[base+i] = k * (dy - sumDy/cnt - xh[base+i]*sumDyXhat/cnt)
+				dxd[base+i] = k * (dod[base+i] - meanDy - xh[base+i]*sumDyXhat/cnt)
 			}
 		}
 	}

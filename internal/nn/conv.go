@@ -24,7 +24,10 @@ type Conv2D struct {
 	oh, ow    int
 }
 
-var _ Layer = (*Conv2D)(nil)
+var (
+	_ Layer           = (*Conv2D)(nil)
+	_ ParamBackwarder = (*Conv2D)(nil)
+)
 
 // NewConv2D returns a convolution layer with He-normal initialization.
 // Kernel k is square; pad chooses symmetric zero padding (use
@@ -66,14 +69,25 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	doutRows := c.backwardParams(dout)
+	dcols := doutRows.MatMulTransBInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
+	return tensor.Col2ImInto(c.allocWriteOnce(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
+}
+
+// BackwardParams accumulates the weight/bias gradients of Backward and
+// skips the input gradient (its GEMM and col2im).
+func (c *Conv2D) BackwardParams(dout *tensor.Tensor) { c.backwardParams(dout) }
+
+// backwardParams accumulates the weight/bias gradients and returns dout
+// as rows ([N*OH*OW, outC]) for the input gradient.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil {
 		panic("nn: Conv2D Backward before training Forward")
 	}
-	doutRows := tensor.NCHWToRowsInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.outC), dout) // [N*OH*OW, outC]
+	doutRows := tensor.NCHWToRowsInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.outC), dout)
 	c.w.Grad.AddIn(c.cols.MatMulTransAInto(c.alloc(c.inC*c.geom.KH*c.geom.KW, c.outC), doutRows))
 	c.b.Grad.AddIn(doutRows.SumRowsInto(c.alloc(c.outC)))
-	dcols := doutRows.MatMulTransBInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
-	return tensor.Col2ImInto(c.allocWriteOnce(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
+	return doutRows
 }
 
 // Params returns the kernel and bias parameters.

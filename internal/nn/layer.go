@@ -193,6 +193,34 @@ func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout
 }
 
+// ParamBackwarder is implemented by layers that can accumulate their
+// parameter gradients without computing the gradient with respect to
+// their input — the part of Backward a network's first layer wastes,
+// since no caller reads the gradient with respect to the data.
+type ParamBackwarder interface {
+	BackwardParams(dout *tensor.Tensor)
+}
+
+var _ ParamBackwarder = (*Sequential)(nil)
+
+// BackwardParams is Backward for callers that discard the input gradient
+// (the training loops): every parameter gradient accumulates exactly as
+// in Backward, but the first layer skips its input gradient when it is a
+// ParamBackwarder.
+func (s *Sequential) BackwardParams(dout *tensor.Tensor) {
+	if len(s.layers) == 0 {
+		return
+	}
+	for i := len(s.layers) - 1; i > 0; i-- {
+		dout = s.layers[i].Backward(dout)
+	}
+	if pb, ok := s.layers[0].(ParamBackwarder); ok {
+		pb.BackwardParams(dout)
+		return
+	}
+	s.layers[0].Backward(dout)
+}
+
 // Params returns all trainable parameters in layer order.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

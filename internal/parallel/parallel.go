@@ -186,7 +186,9 @@ func For(n, maxShards int, fn func(lo, hi int)) {
 
 // Run executes the tasks, running up to Budget() of them concurrently.
 // The calling goroutine always participates; with no budget available the
-// tasks run serially inline, in order. Tasks must be independent.
+// tasks run serially inline, in order. Tasks must be independent. A
+// worker that finds no task left returns its slot at once, not when Run
+// returns.
 //
 // A panic in any task is isolated: the remaining tasks still run (they
 // share no state), and Run then re-panics the lowest-indexed task's panic
@@ -213,15 +215,21 @@ func Run(tasks ...func()) {
 		rethrow()
 		return
 	}
-	defer Release(granted)
-	var next atomic.Int64
+	var next, held atomic.Int64
+	held.Store(int64(granted)) // slots not yet handed back
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
-				return
+				break
 			}
 			capture(tasks[i], &panics[i])
+		}
+		// The queue is empty: hand a slot back now, so the tasks still
+		// running can shard their kernels onto the freed core. The last
+		// worker to finish runs on the caller's own slot.
+		if held.Add(-1) >= 0 {
+			Release(1)
 		}
 	}
 	var wg sync.WaitGroup

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withBudget runs the test body with a fixed budget and restores the
@@ -277,4 +278,35 @@ func TestAsPanicErrorPassthrough(t *testing.T) {
 	if wrapped.Value != "raw" || len(wrapped.Stack) == 0 {
 		t.Fatalf("AsPanicError(raw) = %+v", wrapped)
 	}
+}
+
+// waitInUse polls until InUse() == want or the timeout passes, and
+// reports whether it got there.
+func waitInUse(want int, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for InUse() != want {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// TestRunReturnsIdleSlots pins Run's early hand-back: once the queue is
+// empty, a worker with nothing left to run returns its slot while the
+// last task is still running, so that task's kernels can use the freed
+// core. Holding the slot until Run returns would leave the last task
+// waiting out the timeout.
+func TestRunReturnsIdleSlots(t *testing.T) {
+	withBudget(t, 2, func() {
+		var freed bool
+		Run(func() {}, func() { freed = waitInUse(0, 5*time.Second) })
+		if !freed {
+			t.Fatal("the last task never saw the idle worker's slot returned (InUse stayed 1)")
+		}
+		if g := InUse(); g != 0 {
+			t.Fatalf("InUse() = %d after Run, want 0", g)
+		}
+	})
 }

@@ -413,15 +413,17 @@ func (a *Arena) Reset() { a.RecycleSince(ArenaMark{}, nil) }
 
 // Release returns all arena storage — live and free — to the global pool
 // and empties the arena. The arena remains usable afterwards; it simply
-// starts cold.
+// starts cold. It keeps its bookkeeping, which holds no storage — the
+// recycled tensor wrappers and the lists' capacity — so a network that
+// runs again after a release does not rebuild it.
 func (a *Arena) Release() {
 	a.Reset()
-	for b := range a.free {
-		for _, buf := range a.free[b] {
+	for b, bufs := range a.free {
+		for _, buf := range bufs {
 			PutBuf(buf)
 		}
-		a.free[b] = nil
+		clear(bufs)
+		a.free[b] = bufs[:0]
 	}
-	a.live = nil
-	a.freeT, a.liveT = nil, nil
+	clear(a.live[:cap(a.live)])
 }
