@@ -1,6 +1,6 @@
 # Convenience targets for the TDFM reproduction.
 
-.PHONY: build test test-race nofma chaos serve-chaos swap-chaos grid-chaos bench bench-serve bench-mem bench-parallel repro examples vet vet-docs lint fmt clean
+.PHONY: build test test-race nofma chaos serve-chaos swap-chaos grid-chaos bench bench-serve bench-mem bench-parallel repro examples vet lint fmt clean
 
 # Worker-pool size for bench-parallel (the serial leg always runs at 1).
 WORKERS ?= 4
@@ -11,15 +11,9 @@ build:
 vet:
 	go vet ./...
 
-# Documentation gate: exported identifiers in the observability-critical
-# packages must carry godoc comments (see cmd/vetdocs).
-vet-docs:
-	go run ./cmd/vetdocs internal/obs internal/parallel internal/experiment \
-	    internal/faultinject internal/metrics internal/registry internal/serve \
-	    internal/dist
-
 # Static-analysis gate: the full tdfmlint pass suite — nodeterminism,
-# maporder, errwrap, paniccontract, docs — over every package
+# maporder, errwrap, paniccontract, docs, poolown, lockdiscipline — over
+# every package
 # (DESIGN.md §7, "Static-analysis gates").
 lint:
 	go run ./cmd/tdfmlint ./internal/... ./cmd/... .
@@ -27,11 +21,11 @@ lint:
 fmt:
 	gofmt -w .
 
-# Default quality gate: the static-analysis suite, doc coverage, the full
-# unit/integration suite, and a race-detector pass over the new obs
-# subsystem (journal appends and sinks are exercised concurrently by pool
-# workers).
-test: vet-docs lint
+# Default quality gate: the static-analysis suite (doc coverage
+# included), the full unit/integration suite, and a race-detector pass
+# over the new obs subsystem (journal appends and sinks are exercised
+# concurrently by pool workers).
+test: lint
 	go test ./...
 	go test -race ./internal/obs/... ./internal/serve/... ./internal/dist/...
 

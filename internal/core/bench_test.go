@@ -51,7 +51,7 @@ func benchTrain(b *testing.B, pooled bool) {
 }
 
 // BenchmarkAllocTrain tracks the training loop's allocation rate with
-// the buffer pool and arena on versus off (run with -benchmem; the
+// arena reuse on versus off (run with -benchmem; the
 // allocs/op and B/op columns are the point of this benchmark).
 func BenchmarkAllocTrain(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) { benchTrain(b, true) })

@@ -107,8 +107,8 @@ func (c Config) buildFor(ds *data.Dataset, rng *xrand.RNG) (Classifier, *builtMo
 	}
 	// Every built network gets its own allocation arena: the training loop
 	// recycles activations after each optimizer step, inference after each
-	// chunk (DESIGN.md §10). With pooling disabled the arena is inert and
-	// allocation behaviour is exactly the historical per-call path.
+	// chunk (DESIGN.md §10). With reuse disabled (tensor.SetPooling) the
+	// arena is inert and every handout is a plain allocation.
 	nn.InstallArena(net, tensor.NewArena())
 	bm := &builtModel{net: net, cfg: resolved, classes: ds.NumClasses,
 		inC: ds.Channels(), inH: ds.Height(), inW: ds.Width()}

@@ -59,7 +59,7 @@ func (k KnowledgeDistillation) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (C
 		return nil, err
 	}
 	// The student's training refills the teacher's arena with eval
-	// forwards; hand those buffers back too once the student is trained.
+	// forwards; drop those buffers too once the student is trained.
 	if a := teacher.net.Arena(); a != nil {
 		defer a.Release()
 	}

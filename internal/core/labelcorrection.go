@@ -131,7 +131,7 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 		return nil, err
 	}
 	if a := primary.net.Arena(); a != nil {
-		defer a.Release() // as trainLoop does: training's buffers go back to the pool
+		defer a.Release() // as trainLoop does: training's buffers are dead once it returns
 	}
 	sec := newSecondary(ds.NumClasses, hidden, rng.Split("secondary-init"))
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"tdfm/internal/models"
@@ -12,10 +11,10 @@ import (
 )
 
 // TestTrainingPooledMatchesUnpooled is the byte-identity property behind
-// the whole pooling design (DESIGN.md §10): training with the buffer pool
-// and arena enabled produces bit-for-bit the same model — observed
-// through its test-set probabilities — as the reference allocate-per-call
-// path with TDFM_POOL=off, for every study architecture. Zero-filled
+// the whole arena design (DESIGN.md §10): training with arena reuse
+// enabled produces bit-for-bit the same model — observed through its
+// test-set probabilities — as the reference allocate-per-call path
+// (tensor.SetPooling(false)), for every study architecture. Zero-filled
 // handouts match fresh allocations, and the pooled run fills every
 // write-once handout with NaN (tensor.SetPoisonWriteOnce): a layer that
 // read a write-once element before writing it would turn the pooled
@@ -55,10 +54,10 @@ func TestTrainingPooledMatchesUnpooled(t *testing.T) {
 
 // TestEvalForwardRecyclesDeadActivations pins early recycling in
 // inference forwards (nn.Sequential.Forward) for every study
-// architecture. With the global sync.Pool emptied, a fresh arena can
-// serve a pool hit only by reissuing storage that an earlier layer of
-// the same pass has finished with, so one 32-row forward must score
-// hits. Without recycling every handout of a cold pass is a miss.
+// architecture. A fresh arena can serve a hit only by reissuing storage
+// that an earlier layer of the same pass has finished with, so one
+// 32-row forward must score hits. Without recycling every handout of a
+// cold pass is a miss.
 func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 	const h, w = 8, 8
 	oldPool := tensor.PoolingEnabled()
@@ -78,10 +77,6 @@ func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 				t.Fatal(err)
 			}
 			nn.InstallArena(net, tensor.NewArena())
-			// The first collection moves the pool's buffers to its victim
-			// cache, the second drops them.
-			runtime.GC()
-			runtime.GC()
 			tensor.ResetStats()
 			net.Forward(x, false)
 			if s := tensor.Stats(); s.Hits == 0 {
@@ -93,37 +88,53 @@ func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 
 // TestBackwardParamsMatchesBackward pins the training loops' backward
 // (nn.Sequential.BackwardParams, which skips the first layer's input
-// gradient) to the full Backward on every study architecture: each
-// parameter gradient must be bit-identical. Write-once handouts arrive
+// gradient) to the full Backward on every study architecture and on
+// label correction's Dense-first secondary network: each parameter
+// gradient must be bit-identical. Write-once handouts arrive
 // NaN-poisoned, so a skipped computation that some gradient still read
 // would show as NaN.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
-	const h, w = 8, 8
+	const h, w, classes = 8, 8, 3
 	oldPool := tensor.PoolingEnabled()
 	defer tensor.SetPooling(oldPool)
 	tensor.SetPooling(true)
 	tensor.SetPoisonWriteOnce(true)
 	defer tensor.SetPoisonWriteOnce(false)
-	x := tensor.New(16, 1, h, w)
-	for i := range x.Data() {
-		x.Data()[i] = float64(i%13)/13 - 0.5
+	fill := func(x *tensor.Tensor, mod int, shift float64) *tensor.Tensor {
+		for i := range x.Data() {
+			x.Data()[i] = float64(i%mod)/float64(mod) - shift
+		}
+		return x
 	}
+	images := fill(tensor.New(16, 1, h, w), 13, 0.5)
+	type netCase struct {
+		name  string
+		x     *tensor.Tensor
+		build func(t *testing.T) *nn.Sequential
+	}
+	var cases []netCase
 	for _, arch := range models.StudyModels() {
-		t.Run(arch, func(t *testing.T) {
+		cases = append(cases, netCase{arch, images, func(t *testing.T) *nn.Sequential {
+			net, err := models.Build(arch, models.BuildConfig{
+				InChannels: 1, Height: h, Width: w, NumClasses: classes,
+				WidthMult: 0.25, RNG: xrand.New(7).Split(arch),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}})
+	}
+	cases = append(cases, netCase{"lc-secondary", fill(tensor.New(16, 2*classes), 11, 0.4), func(*testing.T) *nn.Sequential {
+		return newSecondary(classes, 8, xrand.New(7).Split("secondary")).net
+	}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			grads := func(full bool) [][]float64 {
-				net, err := models.Build(arch, models.BuildConfig{
-					InChannels: 1, Height: h, Width: w, NumClasses: 3,
-					WidthMult: 0.25, RNG: xrand.New(7).Split(arch),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				net := c.build(t)
 				nn.InstallArena(net, tensor.NewArena())
-				logits := net.Forward(x, true)
-				dout := tensor.NewLike(logits)
-				for i := range dout.Data() {
-					dout.Data()[i] = float64(i%7)/7 - 0.3
-				}
+				logits := net.Forward(c.x, true)
+				dout := fill(tensor.NewLike(logits), 7, 0.3)
 				if full {
 					net.Backward(dout)
 				} else {

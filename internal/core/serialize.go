@@ -199,12 +199,12 @@ func DecodeSaved(r io.Reader) (*SavedClassifier, error) {
 	return &s, nil
 }
 
-// ReleaseArenas returns every per-network activation arena held by the
-// classifier to the global buffer pool. Callers retire a classifier with
-// it — after a model hot-swap drains the old version — so the retired
-// networks' pooled buffers are reusable by the new version immediately
-// instead of waiting for the GC. The classifier remains usable; its
-// arenas simply start cold. Unknown classifier types are a no-op.
+// ReleaseArenas drops the storage of every per-network activation arena
+// held by the classifier. Callers retire a classifier with it — after a
+// model hot-swap drains the old version — so the retired networks'
+// buffers are garbage even while something still references the
+// classifier. The classifier remains usable; its arenas simply start
+// cold. Unknown classifier types are a no-op.
 func ReleaseArenas(c Classifier) {
 	switch v := c.(type) {
 	case *builtModel:

@@ -142,9 +142,9 @@ func trainLoop(
 		return err
 	}
 	if a := net.Arena(); a != nil {
-		// Training's buffers are dead once the loop returns. In the global
-		// pool they serve the next network on this worker (an ensemble
-		// member, a KD student, the next cell) and this one's eval forwards.
+		// Training's buffers are dead once the loop returns: released,
+		// they go to the garbage collector instead of staying in the
+		// arena for this network's smaller eval forwards.
 		defer a.Release()
 	}
 	if targets == nil {

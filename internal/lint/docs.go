@@ -7,13 +7,11 @@ import (
 	"strings"
 )
 
-// Docs is the documentation gate formerly implemented by cmd/vetdocs,
-// refactored as a pass: every package needs a package comment, and
-// every exported top-level identifier — function, method on an
-// exported type, type, constant, or variable — needs a doc comment.
-// Test files are never loaded, so test helpers stay exempt by
-// construction. cmd/vetdocs remains as a thin wrapper running just
-// this pass.
+// Docs is the documentation gate: every package needs a package
+// comment, and every exported top-level identifier — function, method
+// on an exported type, type, constant, or variable — needs a doc
+// comment. Test files are never loaded, so test helpers stay exempt by
+// construction.
 type Docs struct{}
 
 // NewDocs returns the pass.

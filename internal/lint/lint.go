@@ -1,7 +1,6 @@
 // Package lint is the pass framework behind cmd/tdfmlint, the repo's
-// go vet-style determinism and correctness analyzer. It generalizes the
-// original cmd/vetdocs single-check design: a Pass inspects one loaded
-// (parsed and optionally type-checked) package and reports Findings;
+// go vet-style determinism and correctness analyzer. A Pass inspects
+// one loaded (parsed and type-checked) package and reports Findings;
 // Run executes a set of passes over a set of packages, applies
 // `//tdfm:allow <pass> <reason>` suppression directives, and flags
 // malformed or useless directives as findings of their own.
@@ -23,11 +22,10 @@
 //   - errwrap: sentinel errors compared with == or wrapped without %w;
 //   - paniccontract: exported facade functions that can panic but do
 //     not document it;
-//   - docs: missing godoc on exported identifiers (the old vetdocs
-//     check; cmd/vetdocs remains as a thin wrapper over it);
-//   - poolown: pooled tensor buffers released on every return path,
-//     never used after release, never escaping the owning function
-//     (path-sensitive, on the cfg.go/dataflow.go engine);
+//   - docs: missing godoc on exported identifiers;
+//   - poolown: tensor arena handouts never used after their arena's
+//     Reset, Release or RecycleSince, never escaping the owning
+//     function (path-sensitive, on the cfg.go/dataflow.go engine);
 //   - lockdiscipline: mutex lock/unlock pairing on all paths,
 //     double-lock detection, and no blocking operations while a
 //     serving/registry hot-path lock is held (same engine).
@@ -96,8 +94,8 @@ func AllPasses() []Pass {
 
 // KnownPassNames returns the names a //tdfm:allow directive may
 // legally reference: every shipped pass, whether or not it is part of
-// the current run (cmd/vetdocs runs only the docs pass but must not
-// reject the suppressions cmd/tdfmlint relies on).
+// the current run (a run of one pass, as the golden tests make, must not
+// reject the suppressions the other passes rely on).
 func KnownPassNames() map[string]bool {
 	known := make(map[string]bool)
 	for _, p := range AllPasses() {

@@ -220,7 +220,7 @@ func TestDirectiveText(t *testing.T) {
 }
 
 // TestLoadRejectsEmptyDir pins the ErrNoGoFiles sentinel contract that
-// cmd/vetdocs relies on for tests-only directories.
+// cmd/tdfmlint relies on for tests-only directories.
 func TestLoadRejectsEmptyDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "x_test.go"), []byte("package x\n"), 0o644); err != nil {

@@ -16,7 +16,7 @@ import (
 )
 
 // ErrNoGoFiles marks a directory with no non-test Go files to lint.
-// Callers that walk directory trees (cmd/vetdocs over a tests-only
+// Callers that walk directory trees (cmd/tdfmlint over a tests-only
 // dir) treat it as "nothing to check" via errors.Is rather than as a
 // failure.
 var ErrNoGoFiles = errors.New("no non-test Go files")
@@ -38,8 +38,8 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test files, sorted by filename.
 	Files []*ast.File
-	// Types is the type-checked package, nil when the Loader was built
-	// with NoTypes or when checking failed entirely.
+	// Types is the type-checked package, nil when checking failed
+	// entirely.
 	Types *types.Package
 	// Info holds the type-checker's expression and identifier facts;
 	// empty maps (never nil) when types were not requested.
@@ -66,10 +66,6 @@ type Package struct {
 type Loader struct {
 	// Fset is the shared position table.
 	Fset *token.FileSet
-	// NoTypes skips type-checking; AST-only passes (docs,
-	// paniccontract, most of nodeterminism) still get everything they
-	// need and loading is much cheaper.
-	NoTypes bool
 
 	imp types.Importer
 	// pkgs caches fully loaded module packages by import path; loading
@@ -138,8 +134,7 @@ func (l *Loader) moduleLocal(path string) (string, bool) {
 
 // Load parses the non-test Go files of dir that the build would compile
 // for the host's GOOS and GOARCH (file-name suffixes and //go:build
-// lines, as go/build matches them) and, unless NoTypes is set,
-// type-checks them. A directory with no buildable Go files or with two
+// lines, as go/build matches them) and type-checks them. A directory with no buildable Go files or with two
 // non-test packages is an error; type-check problems are not (they are
 // recorded in Package.TypeErrors).
 func (l *Loader) Load(dir string) (*Package, error) {
@@ -192,9 +187,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		pkg.Files = append(pkg.Files, f)
 	}
 	pkg.RelPath = relToModule(dir, pkg.Name)
-	if !l.NoTypes {
-		l.typecheck(pkg)
-	}
+	l.typecheck(pkg)
 	if key != "" {
 		l.pkgs[key] = pkg
 	}

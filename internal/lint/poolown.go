@@ -1,7 +1,7 @@
 package lint
 
-// PoolOwn: dataflow ownership checking for pooled tensor storage
-// (DESIGN.md §10 contract, §12 engine).
+// PoolOwn: dataflow checking of arena handouts (DESIGN.md §10
+// contract, §12 engine).
 
 import (
 	"fmt"
@@ -10,78 +10,56 @@ import (
 	"maps"
 )
 
-// tensorPkg is the import path of the buffer-pool package whose
-// ownership contract the pass enforces.
+// tensorPkg is the import path of the arena package whose contract the
+// pass enforces.
 const tensorPkg = "tdfm/internal/tensor"
 
-// Ownership kinds a tracked value can have.
+// Abstract facts about one arena handout (a bitset: paths may disagree).
 const (
-	ownBuf      = iota // GetBuf slice: released by PutBuf
-	ownTensor          // NewPooled tensor: released by Release
-	ownArenaVal        // Arena-allocated value: invalidated by its arena's Reset/Release/RecycleSince
+	fReleased = 1 << iota // some path has reset or recycled its arena since the handout
+	fEscaped              // the handout left the function (store, send, goroutine, closure)
 )
 
-// Abstract facts about one tracked value (a bitset: paths may disagree).
-const (
-	fOwned    = 1 << iota // some path still holds the release obligation
-	fReleased             // some path has already released/invalidated it
-	fEscaped              // ownership left the function (return, justified store)
-)
-
-// ownEntry is the abstract state of one tracked allocation.
+// ownEntry is the abstract state of one tracked arena handout.
 type ownEntry struct {
-	kind   int
-	bits   int
-	origin token.Pos // the allocating call, where obligations anchor
-	label  string    // "tensor.GetBuf", "tensor.NewPooled", …
-	// deferRel records a registered deferred release (defer
-	// tensor.PutBuf(v), defer t.Release()), which satisfies the exit
-	// obligation on every path that executed the defer statement.
-	deferRel bool
-	// arena is the owning arena's key for ownArenaVal entries; their
-	// "release" is the arena's Reset/Release.
+	bits  int
+	label string // "a.Buf", "a.WriteOnce", …
+	// arena is the owning arena's key; its Reset, Release or
+	// RecycleSince invalidates the handout.
 	arena string
-	// resetLabel names what invalidated an arena value, for messages.
+	// resetLabel names what invalidated the handout, for messages.
 	resetLabel string
 }
 
 // ownState maps value keys (refKey) to their abstract entry.
 type ownState map[string]ownEntry
 
-// PoolOwn enforces the pooled-buffer ownership contract on every
-// function, path-sensitively over the CFG engine:
+// PoolOwn enforces the arena contract on every function,
+// path-sensitively over the CFG engine. A value allocated from a
+// tensor.Arena (Buf, Tensor, TensorLike, WriteOnce, WriteOnceLike):
 //
-//   - every tensor.GetBuf buffer and NewPooled tensor must
-//     reach its release (PutBuf, Release — directly or via
-//     defer) on every return path, unless ownership escapes by being
-//     returned;
-//   - no use after release, and no double release;
-//   - pooled values must not be stored into fields, globals, element
-//     stores, or channels, or be captured by closures — those escapes
-//     outlive the function and defeat intraprocedural ownership (a
-//     deliberate long-lived handoff is justified with //tdfm:allow);
-//   - values allocated from a tensor.Arena (Buf, Tensor, TensorLike,
-//     WriteOnce, WriteOnceLike) must not be used after that arena's
-//     Reset or Release in the same function, nor after a
-//     RecycleSince(m, keep) unless they are keep: the storage is
-//     reissued.
+//   - must not be used after that arena's Reset or Release in the same
+//     function, nor after a RecycleSince(m, keep) unless it is keep: the
+//     storage is reissued;
+//   - must not be stored into fields, globals, element stores, or
+//     channels, or be captured by closures or handed to goroutines —
+//     those escapes outlive the arena's next Reset;
+//   - must not be discarded on the spot.
 //
-// The analysis is intraprocedural: passing a tracked value to a callee
-// is a borrow (the obligation stays here), receiving one from a callee
-// is untracked (the callee owns it), and aliasing through a local copy
-// is a borrow too. Panicking paths are exempt — the pool never leaks
-// buffers into live data, so the GC reclaims them during unwind.
+// The analysis is intraprocedural: passing a handout to a callee is a
+// borrow, receiving one from a callee is untracked, and aliasing
+// through a local copy is a borrow too.
 type PoolOwn struct {
 	// Allow lists module-relative package paths exempt from the pass
 	// (same syntax as NoDeterminism.Allow).
 	Allow []string
 }
 
-// NewPoolOwn returns the pass with the repo's exemptions: the pool
+// NewPoolOwn returns the pass with the repo's exemptions: the arena
 // implementation itself owns raw storage in ways client rules forbid.
 func NewPoolOwn() *PoolOwn {
 	return &PoolOwn{Allow: []string{
-		"internal/tensor", // the pool/arena implementation is the contract, not a client
+		"internal/tensor", // the arena implementation is the contract, not a client
 	}}
 }
 
@@ -90,7 +68,7 @@ func (p *PoolOwn) Name() string { return "poolown" }
 
 // Doc implements Pass.
 func (p *PoolOwn) Doc() string {
-	return "pooled buffers released on all paths, never used after release, never escaping the owning function"
+	return "arena handouts never used after their arena's Reset, Release or RecycleSince, never escaping the owning function"
 }
 
 // Run implements Pass.
@@ -110,7 +88,7 @@ func (p *PoolOwn) Run(pkg *Package) []Finding {
 // checkFunc analyzes one function body.
 func (p *PoolOwn) checkFunc(pkg *Package, fn ast.Node, body *ast.BlockStmt) []Finding {
 	cfg := BuildCFG(pkg, body)
-	a := &ownAnalysis{pkg: pkg, pass: p, fnPos: fn.Pos(), fnEnd: fn.End()}
+	a := &ownAnalysis{pkg: pkg, fnPos: fn.Pos(), fnEnd: fn.End()}
 	lat := flowLattice[ownState]{
 		entry:    ownState{},
 		transfer: func(s ownState, n ast.Node) ownState { return a.step(s, n, nil) },
@@ -134,33 +112,12 @@ func (p *PoolOwn) checkFunc(pkg *Package, fn ast.Node, body *ast.BlockStmt) []Fi
 	simulate(cfg, lat, in, reached, func(s ownState, n ast.Node) ownState {
 		return a.step(s, n, report)
 	})
-	// End-of-function obligations, one check per normal exit path.
-	for _, s := range exitStates(cfg, lat, in, reached) {
-		for _, e := range s {
-			if e.kind == ownArenaVal {
-				continue
-			}
-			if e.bits&fOwned != 0 && e.bits&fEscaped == 0 && !e.deferRel {
-				report(e.origin, "%s result may not be released on every return path; pair it with %s (defer works) or justify with //tdfm:allow",
-					e.label, releaserName(e))
-			}
-		}
-	}
 	sortFindings(out)
 	return out
 }
 
-// releaserName names the missing release call for a leak message.
-func releaserName(e ownEntry) string {
-	if e.kind == ownTensor {
-		return "Release"
-	}
-	return "tensor.PutBuf"
-}
-
-// joinOwn merges two path states: union of tracked values, bitwise-OR
-// of path facts, and a deferred release only counts if both paths
-// registered it.
+// joinOwn merges two path states: union of tracked values and
+// bitwise-OR of path facts.
 func joinOwn(a, b ownState) ownState {
 	out := make(ownState, len(a))
 	maps.Copy(out, a)
@@ -171,7 +128,6 @@ func joinOwn(a, b ownState) ownState {
 			continue
 		}
 		ea.bits |= eb.bits
-		ea.deferRel = ea.deferRel && eb.deferRel
 		if eb.resetLabel != "" {
 			ea.resetLabel = eb.resetLabel
 		}
@@ -183,7 +139,6 @@ func joinOwn(a, b ownState) ownState {
 // ownAnalysis carries per-function context for the transfer function.
 type ownAnalysis struct {
 	pkg          *Package
-	pass         *PoolOwn
 	fnPos, fnEnd token.Pos
 }
 
@@ -192,32 +147,19 @@ type ownAnalysis struct {
 func (a *ownAnalysis) step(s ownState, n ast.Node, report func(token.Pos, string, ...any)) ownState {
 	st := maps.Clone(s)
 	// consumed collects identifier positions already handled as part of
-	// a release, origin, or escape structure, so the generic
-	// use-after-release scan does not double-report them.
+	// an origin or escape structure, so the generic use-after-reset scan
+	// does not double-report them.
 	consumed := make(map[token.Pos]bool)
 
 	switch x := n.(type) {
 	case *ast.DeferStmt:
-		a.applyDeferred(st, x.Call)
+		// A deferred call runs at exit, after every use in the body.
 		return st
-	case *ast.ReturnStmt:
-		// Returning a tracked value transfers ownership to the caller.
-		for _, res := range x.Results {
-			if key, ok := refKey(a.pkg, res); ok {
-				if e, tracked := st[key]; tracked {
-					e.bits |= fEscaped
-					st[key] = e
-					if id := rootIdent(res); id != nil {
-						consumed[id.Pos()] = true
-					}
-				}
-			}
-		}
 	case *ast.SendStmt:
 		a.escapeIfTracked(st, x.Value, "sent on a channel", report)
 	case *ast.GoStmt:
-		// A goroutine may outlive this frame; handing it a pooled value
-		// defeats intraprocedural ownership just like a field store.
+		// A goroutine may outlive the arena's next Reset, just like a
+		// field store.
 		for _, arg := range x.Call.Args {
 			a.escapeIfTracked(st, arg, "passed to a goroutine", report)
 		}
@@ -225,8 +167,8 @@ func (a *ownAnalysis) step(s ownState, n ast.Node, report func(token.Pos, string
 		a.assign(st, x, consumed, report)
 	}
 
-	// Releases, arena invalidations, and discarded allocations anywhere
-	// in the node's expression tree.
+	// Arena invalidations and discarded handouts anywhere in the node's
+	// expression tree.
 	inspectShallow(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
@@ -237,89 +179,63 @@ func (a *ownAnalysis) step(s ownState, n ast.Node, report func(token.Pos, string
 	})
 
 	// Closure captures: a tracked value referenced inside a function
-	// literal outlives this frame's reasoning. Deferred literals were
-	// already credited as releases by applyDeferred.
-	if _, isDefer := n.(*ast.DeferStmt); !isDefer {
-		ast.Inspect(n, func(m ast.Node) bool {
-			lit, ok := m.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			a.closureCaptures(st, lit, report)
-			return false
-		})
-	}
+	// literal outlives this frame's reasoning.
+	ast.Inspect(n, func(m ast.Node) bool {
+		lit, ok := m.(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		a.closureCaptures(st, lit, report)
+		return false
+	})
 
-	// Generic use check: any remaining reference to a released value.
+	// Generic use check: any remaining reference to an invalidated value.
 	a.checkUses(st, n, consumed, report)
 	return st
 }
 
-// assign handles bindings of tracked origins and escaping stores.
+// assign handles bindings of arena handouts and escaping stores.
 func (a *ownAnalysis) assign(st ownState, x *ast.AssignStmt, consumed map[token.Pos]bool, report func(token.Pos, string, ...any)) {
-	rhs := x.Rhs
-	if len(x.Lhs) != len(rhs) {
-		rhs = nil // multi-value calls and comma-ok forms bind no origin
+	if len(x.Lhs) != len(x.Rhs) {
+		return // multi-value calls and comma-ok forms bind no handout
 	}
 	for i, lh := range x.Lhs {
+		rh := x.Rhs[i]
 		// Escaping store: a tracked value written anywhere but a plain
 		// local variable (a field, an element, a global) outlives the
-		// function's ownership reasoning.
-		if rhs != nil {
-			if key, ok := refKey(a.pkg, rhs[i]); ok {
-				if _, tracked := st[key]; tracked {
-					if !isBareLocal(a.pkg, lh, a.fnPos, a.fnEnd) {
-						a.escapeIfTracked(st, rhs[i], fmt.Sprintf("stored into %s", exprText(lh)), report)
-					}
-					// A copy into another local is a borrow: the original
-					// key keeps the obligation; the copy is untracked.
-					if id := rootIdent(rhs[i]); id != nil {
-						consumed[id.Pos()] = true
-					}
-					continue
+		// function's reasoning.
+		if key, ok := refKey(a.pkg, rh); ok {
+			if _, tracked := st[key]; tracked {
+				if !isBareLocal(a.pkg, lh, a.fnPos, a.fnEnd) {
+					a.escapeIfTracked(st, rh, fmt.Sprintf("stored into %s", exprText(lh)), report)
 				}
+				// A copy into another local is a borrow: the original
+				// key stays tracked; the copy is not.
+				if id := rootIdent(rh); id != nil {
+					consumed[id.Pos()] = true
+				}
+				continue
 			}
-			if call, ok := ast.Unparen(rhs[i]).(*ast.CallExpr); ok {
-				if kind, label, arena, isOrigin := a.origin(call); isOrigin {
-					consumed[call.Pos()] = true // handled; not a discarded origin
-					if isBareLocal(a.pkg, lh, a.fnPos, a.fnEnd) {
-						key, ok := refKey(a.pkg, lh)
-						if !ok {
-							continue
-						}
-						st[key] = ownEntry{kind: kind, bits: fOwned, origin: call.Pos(), label: label, arena: arena}
-					} else if kind != ownArenaVal {
-						// Direct store of a fresh pooled value into a field,
-						// global, or element: an escape at birth.
-						if report != nil {
-							report(call.Pos(), "%s result stored directly into %s; pooled storage must stay function-local (or carry a justified //tdfm:allow for a long-lived handoff)",
-								label, exprText(lh))
-						}
-					}
+		}
+		call, ok := ast.Unparen(rh).(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		if label, arena, isOrigin := a.origin(call); isOrigin {
+			consumed[call.Pos()] = true // handled; not a discarded handout
+			if isBareLocal(a.pkg, lh, a.fnPos, a.fnEnd) {
+				if key, ok := refKey(a.pkg, lh); ok {
+					st[key] = ownEntry{label: label, arena: arena}
 				}
 			}
 		}
 	}
 }
 
-// call handles release calls, arena invalidation, and discarded
-// origins for one call expression found anywhere in a node.
+// call handles arena invalidation and discarded handouts for one call
+// expression found anywhere in a node.
 func (a *ownAnalysis) call(st ownState, node ast.Node, call *ast.CallExpr, consumed map[token.Pos]bool, report func(token.Pos, string, ...any)) {
 	pkg := a.pkg
-	// PutBuf(v): release of a tracked buffer.
-	if isPkgCall(pkg, call, tensorPkg, "PutBuf") {
-		if len(call.Args) == 1 {
-			a.release(st, call.Args[0], call, consumed, report)
-		}
-		return
-	}
-	// t.Release() on a tracked pooled tensor.
-	if methodOn(pkg, call, tensorPkg, "Tensor", "Release") {
-		if recv := recvExpr(call); recv != nil {
-			a.release(st, recv, call, consumed, report)
-		}
-		return
-	}
 	// Arena Reset/Release invalidates every value allocated from it here;
 	// RecycleSince(m, keep) every one but keep.
 	recycle := methodOn(pkg, call, tensorPkg, "Arena", "RecycleSince")
@@ -338,93 +254,24 @@ func (a *ownAnalysis) call(st ownState, node ast.Node, call *ast.CallExpr, consu
 		}
 		what := exprText(recv) + "." + calleeFunc(pkg, call).Name() + "()"
 		for k, e := range st {
-			if e.kind == ownArenaVal && e.arena == key && k != keep {
-				e.bits = (e.bits &^ fOwned) | fReleased
+			if e.arena == key && k != keep {
+				e.bits |= fReleased
 				e.resetLabel = what
 				st[k] = e
 			}
 		}
 		return
 	}
-	// A discarded origin call (statement position, result unused) drops
-	// the only handle to the buffer: legal per the pool contract (GC
-	// reclaims it) but certainly a mistake worth flagging.
-	if _, _, _, isOrigin := a.origin(call); isOrigin && !consumed[call.Pos()] {
+	// A discarded handout (statement position, result unused) is dead
+	// storage until the next Reset: certainly a mistake worth flagging.
+	if _, _, isOrigin := a.origin(call); isOrigin && !consumed[call.Pos()] {
 		if stmt, ok := node.(*ast.ExprStmt); ok && ast.Unparen(stmt.X) == call && report != nil {
-			report(call.Pos(), "pooled allocation result is discarded; bind it and release it, or drop the call")
+			report(call.Pos(), "arena handout is discarded; bind it or drop the call")
 		}
 	}
 }
 
-// release transitions a tracked value to released, reporting double
-// releases. Untracked arguments are a caller-owned borrow and stay
-// silent.
-func (a *ownAnalysis) release(st ownState, arg ast.Expr, call *ast.CallExpr, consumed map[token.Pos]bool, report func(token.Pos, string, ...any)) {
-	key, ok := refKey(a.pkg, arg)
-	if !ok {
-		return
-	}
-	e, tracked := st[key]
-	if !tracked {
-		return
-	}
-	if id := rootIdent(arg); id != nil {
-		consumed[id.Pos()] = true
-	}
-	if e.kind == ownArenaVal {
-		if report != nil {
-			report(call.Pos(), "%s allocated %s from an arena; arena storage is recycled by Reset and must not be released individually",
-				exprText(arg), e.label)
-		}
-		return
-	}
-	if e.bits&fReleased != 0 && report != nil {
-		if e.bits&fOwned != 0 {
-			report(call.Pos(), "%s may already have been released on some path (double release corrupts the pool)", exprText(arg))
-		} else {
-			report(call.Pos(), "double release of %s (its storage may already be handed out again)", exprText(arg))
-		}
-	}
-	e.bits = (e.bits &^ fOwned) | fReleased
-	st[key] = e
-}
-
-// applyDeferred credits deferred release calls: a direct deferred call
-// or any release calls inside a deferred closure body.
-func (a *ownAnalysis) applyDeferred(st ownState, call *ast.CallExpr) {
-	credit := func(c *ast.CallExpr) {
-		var arg ast.Expr
-		switch {
-		case isPkgCall(a.pkg, c, tensorPkg, "PutBuf"):
-			if len(c.Args) == 1 {
-				arg = c.Args[0]
-			}
-		case methodOn(a.pkg, c, tensorPkg, "Tensor", "Release"):
-			arg = recvExpr(c)
-		}
-		if arg == nil {
-			return
-		}
-		if key, ok := refKey(a.pkg, arg); ok {
-			if e, tracked := st[key]; tracked && e.kind != ownArenaVal {
-				e.deferRel = true
-				st[key] = e
-			}
-		}
-	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if c, ok := m.(*ast.CallExpr); ok {
-				credit(c)
-			}
-			return true
-		})
-		return
-	}
-	credit(call)
-}
-
-// escapeIfTracked reports and records an ownership escape.
+// escapeIfTracked reports and records an escape.
 func (a *ownAnalysis) escapeIfTracked(st ownState, e ast.Expr, how string, report func(token.Pos, string, ...any)) {
 	key, ok := refKey(a.pkg, e)
 	if !ok {
@@ -434,11 +281,8 @@ func (a *ownAnalysis) escapeIfTracked(st ownState, e ast.Expr, how string, repor
 	if !tracked || ent.bits&fEscaped != 0 {
 		return
 	}
-	if ent.kind == ownArenaVal {
-		how += " (arena storage is recycled at the next Reset)"
-	}
 	if report != nil {
-		report(e.Pos(), "pooled value %s (from %s) %s; it escapes the owning function", exprText(e), ent.label, how)
+		report(e.Pos(), "arena value %s (from %s) %s; it escapes the owning function (arena storage is recycled at the next Reset)", exprText(e), ent.label, how)
 	}
 	ent.bits |= fEscaped
 	st[key] = ent
@@ -458,7 +302,7 @@ func (a *ownAnalysis) closureCaptures(st ownState, lit *ast.FuncLit, report func
 		}
 		if e, tracked := st[key]; tracked && e.bits&fEscaped == 0 {
 			if report != nil {
-				report(id.Pos(), "pooled value %s (from %s) is captured by a closure that may outlive the function; release before capture or justify", id.Name, e.label)
+				report(id.Pos(), "arena value %s (from %s) is captured by a closure that may outlive the arena's next Reset", id.Name, e.label)
 			}
 			e.bits |= fEscaped
 			st[key] = e
@@ -467,7 +311,7 @@ func (a *ownAnalysis) closureCaptures(st ownState, lit *ast.FuncLit, report func
 	})
 }
 
-// checkUses reports reads of released values.
+// checkUses reports reads of invalidated values.
 func (a *ownAnalysis) checkUses(st ownState, n ast.Node, consumed map[token.Pos]bool, report func(token.Pos, string, ...any)) {
 	if report == nil {
 		return
@@ -481,46 +325,30 @@ func (a *ownAnalysis) checkUses(st ownState, n ast.Node, consumed map[token.Pos]
 		if !ok {
 			return true
 		}
-		e, tracked := st[key]
-		if !tracked || e.bits&fReleased == 0 || e.bits&fEscaped != 0 {
-			return true
-		}
-		switch {
-		case e.kind == ownArenaVal:
+		if e, tracked := st[key]; tracked && e.bits&fReleased != 0 && e.bits&fEscaped == 0 {
 			report(id.Pos(), "%s is used after %s; arena storage is rezeroed and reissued after a reset", id.Name, e.resetLabel)
-		case e.bits&fOwned != 0:
-			report(id.Pos(), "%s may be used after release on some path", id.Name)
-		default:
-			report(id.Pos(), "%s is used after release; its storage may already be handed out again", id.Name)
 		}
 		return true
 	})
 }
 
-// origin classifies a call as a tracked allocation: kind, message
-// label, and (for arena values) the owning arena's key.
-func (a *ownAnalysis) origin(call *ast.CallExpr) (kind int, label, arena string, ok bool) {
-	pkg := a.pkg
-	switch {
-	case isPkgCall(pkg, call, tensorPkg, "GetBuf"):
-		return ownBuf, "tensor.GetBuf", "", true
-	case isPkgCall(pkg, call, tensorPkg, "NewPooled"):
-		return ownTensor, "tensor.NewPooled", "", true
-	}
+// origin classifies a call as an arena handout: its message label and
+// the owning arena's key.
+func (a *ownAnalysis) origin(call *ast.CallExpr) (label, arena string, ok bool) {
 	for _, m := range [...]string{"Buf", "Tensor", "TensorLike", "WriteOnce", "WriteOnceLike"} {
-		if methodOn(pkg, call, tensorPkg, "Arena", m) {
+		if methodOn(a.pkg, call, tensorPkg, "Arena", m) {
 			recv := recvExpr(call)
 			if recv == nil {
-				return 0, "", "", false
+				return "", "", false
 			}
-			key, ok := refKey(pkg, recv)
+			key, ok := refKey(a.pkg, recv)
 			if !ok {
-				return 0, "", "", false
+				return "", "", false
 			}
-			return ownArenaVal, exprText(recv) + "." + m, key, true
+			return exprText(recv) + "." + m, key, true
 		}
 	}
-	return 0, "", "", false
+	return "", "", false
 }
 
 // isBareLocal reports whether an assignment target is a plain

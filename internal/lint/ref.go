@@ -29,16 +29,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgCall reports whether call invokes the package-level function
-// pkgPath.name (e.g. tdfm/internal/tensor.GetBuf).
-func isPkgCall(pkg *Package, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := calleeFunc(pkg, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	return fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Type().(*types.Signature).Recv() == nil
-}
-
 // methodOn reports whether call invokes a method with the given name
 // whose receiver's core named type is pkgPath.typeName (through
 // pointers). An empty typeName matches any receiver type in pkgPath.

@@ -1,148 +1,14 @@
-// Package poolown seeds pooled-buffer ownership violations for the
-// dataflow pass: leaks on early-return paths, use after release,
-// double release, escapes out of the owning function, and arena
-// use-after-reset — next to the clean idioms (defer, all-path release,
-// ownership transfer by return) that must stay silent.
+// Package poolown seeds arena-contract violations for the dataflow
+// pass: use after Reset, Release or RecycleSince, escapes out of the
+// owning function, and discarded handouts — next to the clean idioms
+// (use before the reset, the kept output of RecycleSince, a deferred
+// Reset, a local borrow) that must stay silent.
 package poolown
 
-import (
-	"errors"
-
-	"tdfm/internal/tensor"
-)
+import "tdfm/internal/tensor"
 
 // sink keeps otherwise-dead values alive for the fixtures.
 var sink []float64
-
-// LeakOnErrorPath is the acceptance case: the buffer is returned to
-// the pool on the happy path but leaks when the work fails.
-func LeakOnErrorPath(n int) error {
-	buf := tensor.GetBuf(n) // want "may not be released on every return path"
-	if n > 1024 {
-		return errors.New("too big") // leaks buf
-	}
-	work(buf)
-	tensor.PutBuf(buf)
-	return nil
-}
-
-// DeferRelease is the canonical clean shape: one defer covers every
-// path, early returns included.
-func DeferRelease(n int) error {
-	buf := tensor.GetBuf(n)
-	defer tensor.PutBuf(buf)
-	if n > 1024 {
-		return errors.New("too big")
-	}
-	work(buf)
-	return nil
-}
-
-// BranchRelease releases on both arms explicitly: clean.
-func BranchRelease(n int) {
-	buf := tensor.GetBuf(n)
-	if n%2 == 0 {
-		work(buf)
-		tensor.PutBuf(buf)
-		return
-	}
-	tensor.PutBuf(buf)
-}
-
-// UseAfterRelease touches the buffer after it went back to the pool.
-func UseAfterRelease(n int) float64 {
-	buf := tensor.GetBuf(n)
-	tensor.PutBuf(buf)
-	return buf[0] // want "used after release"
-}
-
-// DoubleRelease returns the same buffer twice.
-func DoubleRelease(n int) {
-	buf := tensor.GetBuf(n)
-	tensor.PutBuf(buf)
-	tensor.PutBuf(buf) // want "double release"
-}
-
-// ConditionalRelease releases on one path and then again
-// unconditionally: a may-double-release.
-func ConditionalRelease(n int) {
-	buf := tensor.GetBuf(n)
-	if n > 4 {
-		tensor.PutBuf(buf)
-	}
-	tensor.PutBuf(buf) // want "already have been released on some path"
-}
-
-// EscapeToGlobal parks a pooled buffer in a global.
-func EscapeToGlobal(n int) {
-	buf := tensor.GetBuf(n)
-	sink = buf // want "stored into sink; it escapes"
-}
-
-// EscapeAtBirth stores the fresh allocation straight into a field.
-type holder struct{ buf []float64 }
-
-// Fill stores the allocation directly into its receiver.
-func (h *holder) Fill(n int) {
-	h.buf = tensor.GetBuf(n) // want "stored directly into h.buf"
-}
-
-// EscapeToChannel sends a pooled buffer away.
-func EscapeToChannel(n int, ch chan []float64) {
-	buf := tensor.GetBuf(n)
-	ch <- buf // want "sent on a channel"
-}
-
-// EscapeToGoroutine hands a pooled buffer to a goroutine.
-func EscapeToGoroutine(n int) {
-	buf := tensor.GetBuf(n)
-	go work(buf) // want "passed to a goroutine"
-}
-
-// EscapeToClosure captures a pooled buffer in a closure that leaves.
-func EscapeToClosure(n int) func() {
-	buf := tensor.GetBuf(n)
-	return func() { work(buf) } // want "captured by a closure"
-}
-
-// TransferByReturn hands ownership to the caller: clean.
-func TransferByReturn(n int) []float64 {
-	buf := tensor.GetBuf(n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// AliasBorrow copies into another local; the original still owns and
-// releases: clean.
-func AliasBorrow(n int) {
-	buf := tensor.GetBuf(n)
-	view := buf
-	work(view)
-	tensor.PutBuf(buf)
-}
-
-// Discarded drops the only handle on the spot.
-func Discarded(n int) {
-	tensor.GetBuf(n) // want "result is discarded"
-}
-
-// PooledTensorLeak loses a NewPooled tensor on the error path.
-func PooledTensorLeak(rows, cols int) (*tensor.Tensor, error) {
-	t := tensor.NewPooled(rows, cols) // want "may not be released on every return path"
-	if rows*cols > 1<<20 {
-		return nil, errors.New("too big") // leaks t
-	}
-	return t, nil
-}
-
-// PooledTensorDefer releases through a deferred method call: clean.
-func PooledTensorDefer(rows, cols int) float64 {
-	t := tensor.NewPooled(rows, cols)
-	defer t.Release()
-	return t.Data()[0]
-}
 
 // ArenaUseAfterReset reads arena storage after the arena recycled it.
 func ArenaUseAfterReset(a *tensor.Arena, n int) float64 {
@@ -161,6 +27,23 @@ func ArenaWriteOnceUseAfterReset(a *tensor.Arena, n int) float64 {
 	return t.Data()[0] // want "used after a.Reset()"
 }
 
+// ArenaReturnAfterRelease hands the caller storage its arena dropped.
+func ArenaReturnAfterRelease(a *tensor.Arena, n int) *tensor.Tensor {
+	t := a.Tensor(n)
+	a.Release()
+	return t // want "t is used after a.Release()"
+}
+
+// ArenaMaybeUseAfterReset resets on one path only: still a use after
+// reset on that path.
+func ArenaMaybeUseAfterReset(a *tensor.Arena, n int) float64 {
+	buf := a.Buf(n)
+	if n > 4 {
+		a.Reset()
+	}
+	return buf[0] // want "used after a.Reset()"
+}
+
 // ArenaUseAfterRecycle reads a dead activation after RecycleSince
 // returned it to the freelists; the kept output stays valid.
 func ArenaUseAfterRecycle(a *tensor.Arena, x *tensor.Tensor) float64 {
@@ -173,10 +56,33 @@ func ArenaUseAfterRecycle(a *tensor.Arena, x *tensor.Tensor) float64 {
 	return out.Data()[0] + h.Data()[0] // want "h is used after a.RecycleSince()"
 }
 
-// ArenaIndividualRelease calls Release on an arena tensor.
-func ArenaIndividualRelease(a *tensor.Arena, n int) {
-	t := a.Tensor(n, n)
-	t.Release() // want "must not be released individually"
+// EscapeToGlobal parks an arena buffer in a global.
+func EscapeToGlobal(a *tensor.Arena, n int) {
+	buf := a.Buf(n)
+	sink = buf // want "stored into sink; it escapes"
+}
+
+// EscapeToChannel sends an arena buffer away.
+func EscapeToChannel(a *tensor.Arena, n int, ch chan []float64) {
+	buf := a.Buf(n)
+	ch <- buf // want "sent on a channel"
+}
+
+// EscapeToGoroutine hands an arena buffer to a goroutine.
+func EscapeToGoroutine(a *tensor.Arena, n int) {
+	buf := a.Buf(n)
+	go work(buf) // want "passed to a goroutine"
+}
+
+// EscapeToClosure captures an arena buffer in a closure that leaves.
+func EscapeToClosure(a *tensor.Arena, n int) func() {
+	buf := a.Buf(n)
+	return func() { work(buf) } // want "captured by a closure"
+}
+
+// Discarded drops the only handle on the spot.
+func Discarded(a *tensor.Arena, n int) {
+	a.Buf(n) // want "arena handout is discarded"
 }
 
 // ArenaScoped allocates, uses, and lets Reset reclaim: clean.
@@ -190,24 +96,27 @@ func ArenaScoped(a *tensor.Arena, n int) float64 {
 	return out
 }
 
-// PanicPathExempt only leaks on a panicking path: clean by policy (the
-// GC reclaims pool storage during unwind).
-func PanicPathExempt(n int) {
-	buf := tensor.GetBuf(n)
-	if n < 0 {
-		panic("negative size")
-	}
-	tensor.PutBuf(buf)
+// DeferReset resets at exit, after every use: clean.
+func DeferReset(a *tensor.Arena, n int) float64 {
+	defer a.Reset()
+	t := a.Tensor(n)
+	t.Fill(2)
+	return t.Data()[0]
 }
 
-// LoopDeferRelease registers one release per iteration: clean (the
-// defer is on every path out of the loop).
-func LoopDeferRelease(sizes []int) {
-	for _, n := range sizes {
-		buf := tensor.GetBuf(n)
-		defer tensor.PutBuf(buf)
-		work(buf)
-	}
+// AliasBorrow copies into another local and passes it to a callee:
+// clean.
+func AliasBorrow(a *tensor.Arena, n int) {
+	buf := a.Buf(n)
+	view := buf
+	work(view)
+}
+
+// OtherArena resets a different arena: clean.
+func OtherArena(a, b *tensor.Arena, n int) float64 {
+	buf := a.Buf(n)
+	b.Reset()
+	return buf[0]
 }
 
 // work stands in for a callee that borrows the buffer.

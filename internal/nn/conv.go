@@ -70,7 +70,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	doutRows := c.backwardParams(dout)
-	dcols := doutRows.MatMulTransBInto(c.allocWriteOnce(c.n*c.oh*c.ow, c.inC*c.geom.KH*c.geom.KW), c.w.W)
+	k := c.inC * c.geom.KH * c.geom.KW
+	dcols := doutRows.MatMulTransBInto(c.allocWriteOnce(c.n*c.oh*c.ow, k), c.w.W, c.allocWriteOnce(c.outC, k))
 	return tensor.Col2ImInto(c.allocWriteOnce(c.n, c.inC, c.h, c.wIn), dcols, c.geom)
 }
 

@@ -18,7 +18,10 @@ type Dense struct {
 	x       *tensor.Tensor // cached input for Backward
 }
 
-var _ Layer = (*Dense)(nil)
+var (
+	_ Layer           = (*Dense)(nil)
+	_ ParamBackwarder = (*Dense)(nil)
+)
 
 // NewDense returns a dense layer with He-normal initialized weights and zero
 // biases, drawing initialization randomness from rng.
@@ -59,12 +62,18 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // Backward accumulates dW = xᵀ·dout and db = Σ dout rows, and returns
 // dx = dout·Wᵀ.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d.BackwardParams(dout)
+	return dout.MatMulTransBInto(d.allocWriteOnce(dout.Dim(0), d.in), d.w.W, d.allocWriteOnce(d.out, d.in))
+}
+
+// BackwardParams accumulates the weight/bias gradients of Backward and
+// skips the input gradient (its GEMM).
+func (d *Dense) BackwardParams(dout *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense Backward before training Forward")
 	}
 	d.w.Grad.AddIn(d.x.MatMulTransAInto(d.alloc(d.in, d.out), dout))
 	d.b.Grad.AddIn(dout.SumRowsInto(d.alloc(d.out)))
-	return dout.MatMulTransBInto(d.allocWriteOnce(dout.Dim(0), d.in), d.w.W)
 }
 
 // Params returns the weight and bias parameters.

@@ -43,6 +43,44 @@ func TestDenseWrongInputPanics(t *testing.T) {
 	d.Forward(tensor.New(5, 7), false)
 }
 
+// TestArenaTrainingStepAllocatesNothing pins that a warmed Conv2D or
+// Dense training step — Forward, Backward, then the arena's Reset — on
+// an arena at parallelism 1 makes no heap allocation: activations,
+// gradients and the transB packing scratch all come from the arena.
+func TestArenaTrainingStepAllocatesNothing(t *testing.T) {
+	old := tensor.PoolingEnabled()
+	tensor.SetPooling(true)
+	defer tensor.SetPooling(old)
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	rng := xrand.New(9)
+	for _, c := range []struct {
+		name  string
+		layer Layer
+		x     *tensor.Tensor
+	}{
+		{"conv", NewConv2D("conv", 3, 8, 3, 1, 1, rng), tensor.New(4, 3, 6, 6)},
+		{"dense", NewDense("fc", 12, 5, rng), tensor.New(4, 12)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng.FillNormal(c.x.Data(), 0, 1)
+			arena := tensor.NewArena()
+			InstallArena(c.layer, arena)
+			dout := tensor.NewLike(c.layer.Forward(c.x, true))
+			rng.FillNormal(dout.Data(), 0, 1)
+			step := func() {
+				c.layer.Forward(c.x, true)
+				c.layer.Backward(dout)
+				arena.Reset()
+			}
+			step()
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Fatalf("warmed training step allocates %v times", allocs)
+			}
+		})
+	}
+}
+
 func TestReLUForward(t *testing.T) {
 	r := NewReLU()
 	x := tensor.FromSlice([]float64{-1, 0, 2, -3}, 4)

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"tdfm/internal/nn"
-	"tdfm/internal/tensor"
 )
 
 // Optimizer applies one update step to a set of parameters using their
@@ -18,11 +17,10 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
-	// Release returns the optimizer's per-parameter state buffers to the
-	// global buffer pool and resets the state. Call it when the training
-	// run that owns the optimizer finishes; the optimizer remains usable
-	// (its next Step starts from fresh zero state, exactly like a new
-	// optimizer).
+	// Release drops the optimizer's per-parameter state. Call it when
+	// the training run that owns the optimizer finishes; the optimizer
+	// remains usable (its next Step starts from fresh zero state, exactly
+	// like a new optimizer).
 	Release()
 	Name() string
 }
@@ -63,8 +61,8 @@ func (s *SGD) Step(params []*nn.Param) {
 		w, g := p.W.Data(), p.Grad.Data()
 		v, ok := s.velocity[p]
 		if !ok {
-			v = tensor.GetBuf(len(w))
-			s.velocity[p] = v //tdfm:allow poolown the optimizer owns velocity state across Step calls; every buffer is returned by SGD.Release
+			v = make([]float64, len(w))
+			s.velocity[p] = v
 		}
 		for i := range w {
 			grad := g[i] + float64(s.WeightDecay*w[i])
@@ -74,13 +72,8 @@ func (s *SGD) Step(params []*nn.Param) {
 	}
 }
 
-// Release implements Optimizer: velocity buffers return to the pool.
-func (s *SGD) Release() {
-	for p, v := range s.velocity {
-		delete(s.velocity, p)
-		tensor.PutBuf(v)
-	}
-}
+// Release implements Optimizer: the velocity state is dropped.
+func (s *SGD) Release() { clear(s.velocity) }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -127,13 +120,13 @@ func (a *Adam) Step(params []*nn.Param) {
 		w, g := p.W.Data(), p.Grad.Data()
 		m, ok := a.m[p]
 		if !ok {
-			m = tensor.GetBuf(len(w))
-			a.m[p] = m //tdfm:allow poolown the optimizer owns first-moment state across Step calls; every buffer is returned by Adam.Release
+			m = make([]float64, len(w))
+			a.m[p] = m
 		}
 		v, ok := a.v[p]
 		if !ok {
-			v = tensor.GetBuf(len(w))
-			a.v[p] = v //tdfm:allow poolown the optimizer owns second-moment state across Step calls; every buffer is returned by Adam.Release
+			v = make([]float64, len(w))
+			a.v[p] = v
 		}
 		for i := range w {
 			grad := g[i] + float64(a.WeightDecay*w[i])
@@ -146,17 +139,11 @@ func (a *Adam) Step(params []*nn.Param) {
 	}
 }
 
-// Release implements Optimizer: moment buffers return to the pool and the
+// Release implements Optimizer: the moment state is dropped and the
 // bias-correction step counter resets.
 func (a *Adam) Release() {
-	for p, m := range a.m {
-		delete(a.m, p)
-		tensor.PutBuf(m)
-	}
-	for p, v := range a.v {
-		delete(a.v, p)
-		tensor.PutBuf(v)
-	}
+	clear(a.m)
+	clear(a.v)
 	a.t = 0
 }
 

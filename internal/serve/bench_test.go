@@ -234,7 +234,7 @@ func benchPredictCore(b *testing.B, rows int) {
 	withPooling(false, func() { benchBulk(b, benchCoreMembers(b), rows) })
 }
 
-// withPooling runs fn with the tensor buffer pool forced on or off,
+// withPooling runs fn with tensor arena reuse forced on or off,
 // restoring the previous mode afterwards.
 func withPooling(on bool, fn func()) {
 	old := tensor.PoolingEnabled()
@@ -264,7 +264,7 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkAllocPredict tracks the allocation rate of one 32-row
-// request over arena-backed members with the buffer pool on versus off
+// request over arena-backed members with arena reuse on versus off
 // (run with -benchmem; the allocs/op and B/op columns are the point of
 // this benchmark).
 func BenchmarkAllocPredict(b *testing.B) {
@@ -399,7 +399,7 @@ func TestEmitServeBenchJSON(t *testing.T) {
 	}
 
 	// Memory rows, each one 32-row request per op. The pooled/unpooled
-	// pair tracks what buffer pooling saves on the predict path
+	// pair tracks what arena reuse saves on the predict path
 	// (allocs/op, B/op); the core row tracks the fresh storage of a
 	// request through real core members.
 	const allocReqs = 32

@@ -44,10 +44,9 @@ func (m ModelInfo) Label() string {
 //  3. Only then is the old Server drained — so no in-flight request can
 //     observe ErrDraining — and its pool-stats snapshot emitted, tagged
 //     with the retiring version.
-//  4. The old members' activation arenas are released to the global
-//     buffer pool for the new generation to reuse, and the swap event is
-//     emitted. A swap event therefore guarantees the old version is
-//     fully retired.
+//  4. The old members' activation arenas are released, so their storage
+//     is garbage, and the swap event is emitted. A swap event therefore
+//     guarantees the old version is fully retired.
 //
 // Requests never block on a swap: between steps 1 and 4 old and new
 // generations serve concurrently, each on its own breakers and
@@ -156,10 +155,10 @@ func (h *Hot) Handler() http.Handler {
 	})
 }
 
-// ReleaseArenas returns every member's per-network activation arenas to
-// the global buffer pool. Callers retire a drained Server with it — the
-// buffers a retired model version held become immediately reusable by
-// its successor instead of waiting for the GC.
+// ReleaseArenas drops the storage of every member's per-network
+// activation arenas. Callers retire a drained Server with it, so the
+// buffers a retired model version held are garbage even while the
+// Server itself is still referenced.
 func (s *Server) ReleaseArenas() {
 	for _, m := range s.members {
 		core.ReleaseArenas(m.Clf)

@@ -321,8 +321,8 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 	s.inflight.Wait()
 	if first {
-		// One drain-time snapshot of the buffer pool's reuse counters: at
-		// shutdown operators read it to confirm pooling is paying off, and
+		// One drain-time snapshot of the arenas' reuse counters: at
+		// shutdown operators read it to confirm reuse is paying off, and
 		// on every hot-swap (Hot.Swap drains the retiring generation) the
 		// snapshot is tagged with the retiring model version so arena leaks
 		// across swaps are observable per version, not just at exit.

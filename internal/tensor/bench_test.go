@@ -65,20 +65,19 @@ func convPerExample(x, w *Tensor) []*Tensor {
 	return out
 }
 
-// convBatchedPooled is convBatched with pool-owned storage: the column
-// matrix and the product come from NewPooled and return via Release, so
-// steady-state iterations recycle buffers instead of allocating. With
-// pooling disabled it degenerates to exactly the allocate-per-call path,
-// which is what the alloc benchmark's unpooled leg measures.
-func convBatchedPooled(x, w *Tensor) {
+// convBatchedArena is convBatched with arena storage: the column matrix
+// and the product come from a and return with its Reset, so steady-state
+// iterations recycle buffers instead of allocating. With pooling
+// disabled the arena hands out plain make, the allocate-per-call path
+// that the alloc benchmark's unpooled leg measures.
+func convBatchedArena(a *Arena, x, w *Tensor) {
 	n, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := convBenchGeom.OutSize(h, wd)
-	cols := NewPooled(n*oh*ow, convBenchC*convBenchGeom.KH*convBenchGeom.KW)
-	out := NewPooled(n*oh*ow, convBenchOutC)
+	cols := a.WriteOnce(n*oh*ow, convBenchC*convBenchGeom.KH*convBenchGeom.KW)
+	out := a.Tensor(n*oh*ow, convBenchOutC)
 	Im2ColInto(cols, x, convBenchGeom)
 	cols.MatMulInto(out, w)
-	cols.Release()
-	out.Release()
+	a.Reset()
 }
 
 func benchConv(b *testing.B, n int, batched bool) {
@@ -144,8 +143,8 @@ func benchGemm(b *testing.B, l gemmBenchLayer, product string) {
 		dst := New(l.k, l.n)
 		run = func() { dst.Zero(); cols.MatMulTransAInto(dst, dy) }
 	case "transB":
-		dst := New(l.m, l.k)
-		run = func() { dy.MatMulTransBInto(dst, w) }
+		dst, scratch := New(l.m, l.k), New(l.n, l.k)
+		run = func() { dy.MatMulTransBInto(dst, w, scratch) }
 	default:
 		b.Fatalf("unknown product %q", product)
 	}
@@ -232,19 +231,20 @@ func BenchmarkConvTransforms(b *testing.B) {
 	}
 }
 
-// benchAllocConv measures the batched conv through the pool-aware path
-// with pooling forced on or off. One warm-up call primes the pool so the
-// pooled leg reports its steady state rather than first-touch misses.
+// benchAllocConv measures the batched conv on an arena with pooling
+// forced on or off. One warm-up call primes the arena so the pooled leg
+// reports its steady state rather than first-touch misses.
 func benchAllocConv(b *testing.B, n int, pooled bool) {
 	old := PoolingEnabled()
 	SetPooling(pooled)
 	defer SetPooling(old)
 	x, w := convBenchInput(n)
-	convBatchedPooled(x, w)
+	a := NewArena()
+	convBatchedArena(a, x, w)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		convBatchedPooled(x, w)
+		convBatchedArena(a, x, w)
 	}
 	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "rows/s")
 }
@@ -265,8 +265,8 @@ func benchConvUnpooled(b *testing.B, n int) {
 	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkAllocConv tracks the conv path's allocation rate with the
-// buffer pool on versus off (run with -benchmem; the allocs/op and B/op
+// BenchmarkAllocConv tracks the conv path's allocation rate with arena
+// reuse on versus off (run with -benchmem; the allocs/op and B/op
 // columns are the point).
 func BenchmarkAllocConv(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) { benchAllocConv(b, 32, true) })

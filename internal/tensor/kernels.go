@@ -52,16 +52,17 @@ import "tdfm/internal/parallel"
 //
 // Kernels own the initialization of what they write. The accumulating
 // products (gemm, gemmTransA) and sumRows add into their destination and
-// need it zero-filled, as New, NewPooled, GetBuf and the zero-filling
-// Arena handouts return it. Every other kernel writes each destination
-// element itself and accepts any prior contents, an Arena.WriteOnce
-// handout included: gemmTransB overwrites, the AVX2 gemmTransBF64 clears
-// before it accumulates, im2col writes +0 into padded positions, col2im
-// clears each image inside its shard before scattering into it, and the
-// layout transforms (nchwToRows, rowsToNCHW) copy. A 1×1 stride-1
-// unpadded im2col is exactly nchwToRows and runs as it; the matching
-// col2im is the inverse transpose storing +0 + v, the sum a cleared
-// destination would hold, so a −0 entry still comes out +0.
+// need it zero-filled, as New and the zero-filling Arena handouts return
+// it. Every other kernel writes each destination element itself and
+// accepts any prior contents, an Arena.WriteOnce handout included:
+// gemmTransB overwrites, the AVX2 gemmTransBF64 packs bᵀ over its
+// scratch and clears its destination before it accumulates, im2col
+// writes +0 into padded positions, col2im clears each image inside its
+// shard before scattering into it, and the layout transforms
+// (nchwToRows, rowsToNCHW) copy. A 1×1 stride-1 unpadded im2col is
+// exactly nchwToRows and runs as it; the matching col2im is the inverse
+// transpose storing +0 + v, the sum a cleared destination would hold, so
+// a −0 entry still comes out +0.
 
 // rowTriple returns the rows of the block that starts at row i of a
 // window ending at hi: i, i+1 and i+2, with rows past the window replaced

@@ -86,15 +86,14 @@ func gemmTransAF64(dst, a, b []float64, k, m, n int) {
 }
 
 // gemmTransBF64 is gemmTransB for float64 operands. On the AVX2 path it
-// packs bᵀ [k,n] into a pooled buffer once and runs gemmF64 on the
-// zeroed destination: each element still sums a[i,p]·b[j,p] from +0 in
-// ascending p.
-func gemmTransBF64(dst, a, b []float64, m, k, n int) {
+// packs bᵀ [k,n] into the caller's scratch bt once and runs gemmF64 on
+// the zeroed destination: each element still sums a[i,p]·b[j,p] from +0
+// in ascending p. The portable path does not touch bt.
+func gemmTransBF64(dst, a, b, bt []float64, m, k, n int) {
 	if !useAVX2 {
 		gemmTransB(dst, a, b, m, k, n)
 		return
 	}
-	bt := GetBuf(k * n)
 	for j := 0; j < n; j++ {
 		for p, v := range b[j*k : (j+1)*k] {
 			bt[p*n+j] = v
@@ -102,5 +101,4 @@ func gemmTransBF64(dst, a, b []float64, m, k, n int) {
 	}
 	clear(dst[:m*n])
 	gemmF64(dst, a, bt, m, k, n)
-	PutBuf(bt)
 }

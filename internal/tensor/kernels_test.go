@@ -167,6 +167,8 @@ func checkKernelsAgainstReference(t *testing.T, rng *xrand.RNG, label string, m,
 	b, _ := window(randOperand(rng.Split("b"), k*n), off)   // [k,n]
 	at, _ := window(randOperand(rng.Split("at"), k*m), off) // [k,m]
 	bt, _ := window(randOperand(rng.Split("bt"), n*k), off) // [n,k]
+	// gemmTransB's packing scratch [k,n] starts from garbage as well.
+	scratch, scratchIntact := window(randOperand(rng.Split("scratch"), k*n), off)
 
 	for _, c := range []struct {
 		name string
@@ -177,7 +179,7 @@ func checkKernelsAgainstReference(t *testing.T, rng *xrand.RNG, label string, m,
 		{"gemm", func(dst []float64) { gemmF64(dst, a, b, m, k, n) }, refGemm(a, b, m, k, n), make([]float64, m*n)},
 		{"gemmTransA", func(dst []float64) { gemmTransAF64(dst, at, b, k, m, n) }, refGemmTransA(at, b, k, m, n), make([]float64, m*n)},
 		// gemmTransB overwrites, so start from garbage rather than zeros.
-		{"gemmTransB", func(dst []float64) { gemmTransBF64(dst, a, bt, m, k, n) }, refGemmTransB(a, bt, m, k, n), randOperand(rng.Split("dst"), m*n)},
+		{"gemmTransB", func(dst []float64) { gemmTransBF64(dst, a, bt, scratch, m, k, n) }, refGemmTransB(a, bt, m, k, n), randOperand(rng.Split("dst"), m*n)},
 	} {
 		got, intact := window(c.init, off)
 		c.run(got)
@@ -187,6 +189,9 @@ func checkKernelsAgainstReference(t *testing.T, rng *xrand.RNG, label string, m,
 		if !intact() {
 			t.Fatalf("%s %s: wrote outside the destination", label, c.name)
 		}
+	}
+	if !scratchIntact() {
+		t.Fatalf("%s gemmTransB: wrote outside the scratch", label)
 	}
 }
 
@@ -274,7 +279,7 @@ func TestKernelsZeroTimesInfIsNaN(t *testing.T) {
 				}
 				gemmF64(products["gemm"], fill(m*k, c.left), fill(k*n, c.right), m, k, n)
 				gemmTransAF64(products["gemmTransA"], fill(k*m, c.left), fill(k*n, c.right), k, m, n)
-				gemmTransBF64(products["gemmTransB"], fill(m*k, c.left), fill(n*k, c.right), m, k, n)
+				gemmTransBF64(products["gemmTransB"], fill(m*k, c.left), fill(n*k, c.right), make([]float64, k*n), m, k, n)
 				for name, out := range products {
 					for i, v := range out {
 						if !math.IsNaN(v) {

@@ -72,12 +72,12 @@ func TestParallelMatMulOddShapes(t *testing.T) {
 
 			par := a.MatMul(b)
 			parTA := at.MatMulTransA(b)
-			parTB := a.MatMulTransB(bt)
+			parTB := matMulTransB(a, bt)
 
 			SetParallelism(1)
 			assertBitIdentical(t, "MatMul", par, a.MatMul(b))
 			assertBitIdentical(t, "MatMulTransA", parTA, at.MatMulTransA(b))
-			assertBitIdentical(t, "MatMulTransB", parTB, a.MatMulTransB(bt))
+			assertBitIdentical(t, "MatMulTransB", parTB, matMulTransB(a, bt))
 			SetParallelism(8)
 		}
 	})

@@ -20,9 +20,6 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float64
-	// pooled marks storage obtained from the global buffer pool via
-	// NewPooled; Release returns it (DESIGN.md §10).
-	pooled bool
 }
 
 // New returns a zero-filled tensor with the given shape. It panics if any
@@ -409,7 +406,7 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 }
 
 // MatMulInto computes t × u into dst, a zero-filled [m,n] tensor (as
-// returned by New, NewPooled, or Arena.Tensor), and returns dst. It is
+// returned by New or Arena.Tensor), and returns dst. It is
 // MatMul with caller-owned output storage: the arena-backed layers use it
 // to keep matmul results out of the garbage collector. It panics on
 // non-2-D operands or any dimension mismatch.
@@ -469,28 +466,14 @@ func (t *Tensor) MatMulTransAInto(dst, u *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulTransB returns t × uᵀ for 2-D tensors t [m,k], u [n,k] -> [m,n],
-// on the same kernels and with the same bitwise guarantee as MatMul. On
-// the AVX2 path it packs uᵀ into a pooled buffer and runs MatMul's kernel.
-func (t *Tensor) MatMulTransB(u *Tensor) *Tensor {
-	if len(t.shape) != 2 || len(u.shape) != 2 {
-		panic("tensor: MatMulTransB needs 2-d operands")
-	}
-	m, k := t.shape[0], t.shape[1]
-	n, k2 := u.shape[0], u.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %v", t.shape, u.shape))
-	}
-	out := New(m, n)
-	gemmTransBF64(out.data, t.data, u.data, m, k, n)
-	return out
-}
-
-// MatMulTransBInto computes t × uᵀ into dst, an [m,n] tensor whose every
-// element is overwritten, and returns dst (MatMulTransB with caller-owned
-// output storage). It panics on non-2-D operands or any dimension
-// mismatch.
-func (t *Tensor) MatMulTransBInto(dst, u *Tensor) *Tensor {
+// MatMulTransBInto computes t × uᵀ for 2-D tensors t [m,k], u [n,k]
+// into dst, an [m,n] tensor whose every element is overwritten, and
+// returns dst. It runs on the same kernels and with the same bitwise
+// guarantee as MatMul. scratch is a [k,n] tensor that the AVX2 path
+// overwrites with uᵀ before running MatMul's kernel; its contents on
+// entry do not matter, and the portable path leaves it untouched. It
+// panics on non-2-D operands or any dimension mismatch.
+func (t *Tensor) MatMulTransBInto(dst, u, scratch *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
 		panic("tensor: MatMulTransB needs 2-d operands")
 	}
@@ -502,7 +485,10 @@ func (t *Tensor) MatMulTransBInto(dst, u *Tensor) *Tensor {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto destination %v, want [%d,%d]", dst.shape, m, n))
 	}
-	gemmTransBF64(dst.data, t.data, u.data, m, k, n)
+	if len(scratch.shape) != 2 || scratch.shape[0] != k || scratch.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTransBInto scratch %v, want [%d,%d]", scratch.shape, k, n))
+	}
+	gemmTransBF64(dst.data, t.data, u.data, scratch.data, m, k, n)
 	return dst
 }
 

@@ -181,12 +181,17 @@ func TestMatMulTransAgainstExplicitTranspose(t *testing.T) {
 		}
 		c := randMat(rng, m, k)
 		d := randMat(rng, n, k)
-		got2 := c.MatMulTransB(d)
+		got2 := matMulTransB(c, d)
 		want2 := c.MatMul(d.Transpose2D())
 		if !got2.Equal(want2, 1e-9) {
 			t.Fatalf("trial %d: MatMulTransB mismatch", trial)
 		}
 	}
+}
+
+// matMulTransB returns a × bᵀ in fresh storage, scratch included.
+func matMulTransB(a, b *Tensor) *Tensor {
+	return a.MatMulTransBInto(New(a.Dim(0), b.Dim(0)), b, New(a.Dim(1), b.Dim(0)))
 }
 
 // Property: matrix multiplication distributes over addition.
@@ -303,7 +308,9 @@ func TestStringTruncates(t *testing.T) {
 
 // TestIntoVariantsMatchAllocating pins the Into variants against their
 // allocating counterparts bit for bit (they share kernels; this guards
-// the wrappers' shape plumbing).
+// the wrappers' shape plumbing). MatMulTransBInto, which has none, is
+// pinned against MatMul of the explicit transpose, with a NaN-filled
+// scratch that it must overwrite before reading.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	rng := xrand.New(11).Split("into-parity")
 	const m, k, n = 9, 11, 8
@@ -322,7 +329,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}{
 		{"MatMul", a.MatMul(b), a.MatMulInto(New(m, n), b)},
 		{"MatMulTransA", at.MatMulTransA(b), at.MatMulTransAInto(New(m, n), b)},
-		{"MatMulTransB", a.MatMulTransB(bt), a.MatMulTransBInto(New(m, n), bt)},
+		{"MatMulTransB", a.MatMul(bt.Transpose2D()), a.MatMulTransBInto(New(m, n), bt, Full(math.NaN(), k, n))},
 		{"SumRows", a.SumRows(), a.SumRowsInto(New(k))},
 	}
 	for _, c := range checks {
