@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"tdfm/internal/data"
@@ -323,13 +325,28 @@ func TestAccuracyHelper(t *testing.T) {
 	}
 }
 
+// TestTrainLoopDivergenceDetection trains every technique at an infinite
+// learning rate: each must report ErrDiverged, never panic or return a
+// classifier.
 func TestTrainLoopDivergenceDetection(t *testing.T) {
 	train, _ := tinySet(t)
-	// An absurd learning rate must either diverge (reported as error) or
-	// still return a classifier — never panic.
-	_, err := Baseline{}.Train(Config{Arch: "convnet", Epochs: 3, LR: 1e6}, TrainSet{Data: train}, xrand.New(19))
-	if err != nil {
-		t.Logf("diverged as expected: %v", err)
+	for _, name := range StudyOrder() {
+		t.Run(name, func(t *testing.T) {
+			tech, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			cfg := fastConfig()
+			cfg.LR = math.Inf(1)
+			if _, err := tech.Train(cfg, TrainSet{Data: train}, xrand.New(19)); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("err = %v, want ErrDiverged", err)
+			}
+		})
 	}
 }
 

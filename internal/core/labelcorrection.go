@@ -98,7 +98,8 @@ func (s *secondary) correct(logits *tensor.Tensor, labels []int) *tensor.Tensor 
 	return loss.Softmax(s.net.Forward(s.features(logits, labels), false))
 }
 
-// Train runs the alternating primary/secondary training.
+// Train runs the alternating primary/secondary training: phase 1 is
+// trainLoop's epoch-start hook, phase 2 the loop itself.
 func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classifier, error) {
 	gamma := l.Gamma
 	if gamma <= 0 {
@@ -130,29 +131,27 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 	if err != nil {
 		return nil, err
 	}
-	if a := primary.net.Arena(); a != nil {
-		defer a.Release() // as trainLoop does: training's buffers are dead once it returns
-	}
 	sec := newSecondary(ds.NumClasses, hidden, rng.Split("secondary-init"))
+	secInit := nn.TakeSnapshot(sec.net)
+	primaryLoss := &correctedLoss{sec: sec}
+	var secondaryOpt *opt.Adam
+	var flipRNG *xrand.RNG
 
-	primaryOpt := opt.NewAdam(resolved.LR)
-	defer primaryOpt.Release()
-	secondaryOpt := opt.NewAdam(resolved.LR)
-	defer secondaryOpt.Release()
-	schedule := opt.CosineDecay{Total: resolved.Epochs}
-	shuffleRNG := rng.Split("shuffle")
-	flipRNG := rng.Split("synth-flip")
-	ce := loss.CrossEntropy{}
-
-	for epoch := 0; epoch < resolved.Epochs; epoch++ {
-		lr := resolved.LR * schedule.Factor(epoch)
-		primaryOpt.SetLR(lr)
+	// Phase 1: train the secondary on the clean subset with synthetic
+	// flips. Input: (primary probs, possibly-flipped label); target: the
+	// true label. It shuffles from the loop's stream, at the loop's LR.
+	phase1 := func(epoch int, lr float64, shuffle *xrand.RNG) {
+		if epoch == 0 {
+			// Every attempt, recoveries included, restarts the secondary:
+			// initial weights, fresh Adam, a flip stream split after the loop's.
+			if err := secInit.Restore(sec.net); err != nil {
+				panic(fmt.Sprintf("core: restoring the secondary's own snapshot: %v", err))
+			}
+			secondaryOpt = opt.NewAdam(lr)
+			flipRNG = rng.Split("synth-flip")
+		}
 		secondaryOpt.SetLR(lr)
-
-		// Phase 1: train the secondary on the clean subset with synthetic
-		// flips. Input: (primary probs, possibly-flipped label); target:
-		// the true label.
-		cleanShuffled := cleanSet.Shuffled(shuffleRNG)
+		cleanShuffled := cleanSet.Shuffled(shuffle)
 		for start := 0; start < cleanShuffled.Len(); start += resolved.BatchSize {
 			bx, by := cleanShuffled.Batch(start, resolved.BatchSize)
 			logits := primary.net.Forward(bx, false) // primary frozen in this phase
@@ -169,7 +168,7 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 			}
 			feats := sec.features(logits, noisy)
 			secLogits := sec.net.Forward(feats, true)
-			_, grad := ce.Forward(secLogits, data.OneHot(by, ds.NumClasses))
+			_, grad := loss.CrossEntropy{}.Forward(secLogits, data.OneHot(by, ds.NumClasses))
 			sec.net.BackwardParams(grad)
 			secondaryOpt.Step(sec.net.Params())
 			nn.ZeroGrads(sec.net)
@@ -179,32 +178,38 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 				a.Reset()
 			}
 		}
-
-		// Phase 2: train the primary on the full (noisy) data against a blend
-		// of the given labels and the secondary's corrected soft labels. The
-		// correction weight λ ramps in over training: early on the primary's
-		// logits are uninformative and the secondary would only inject noise,
-		// so the given labels dominate; as both models converge the corrected
-		// labels take over (mirroring the warm-up phase of meta label
-		// correction).
-		lambda := 0.7 * float64(epoch+1) / float64(resolved.Epochs)
-		shuffled := ds.Shuffled(shuffleRNG)
-		for start := 0; start < shuffled.Len(); start += resolved.BatchSize {
-			bx, by := shuffled.Batch(start, resolved.BatchSize)
-			logits := primary.net.Forward(bx, true)
-			corrected := sec.correct(logits, by)
-			target := data.OneHot(by, ds.NumClasses).ScaleIn(1 - lambda)
-			target.AddScaledIn(lambda, corrected)
-			_, grad := ce.Forward(logits, target)
-			primary.net.BackwardParams(grad)
-			primaryOpt.Step(primary.net.Params())
-			nn.ZeroGrads(primary.net)
-			if a := primary.net.Arena(); a != nil {
-				a.Reset()
-			}
-		}
+		// The correction weight λ ramps in over training: early on the
+		// primary's logits are uninformative and the secondary would only
+		// inject noise, so the given labels dominate; as both models
+		// converge the corrected labels take over (mirroring the warm-up
+		// phase of meta label correction).
+		primaryLoss.lambda = 0.7 * float64(epoch+1) / float64(resolved.Epochs)
+	}
+	if err := trainLoop(primary.net, ds, primaryLoss, cfg, rng, nil, phase1); err != nil {
+		return nil, err
 	}
 	return classifier, nil
+}
+
+// correctedLoss is phase 2's loss: cross entropy against the blend
+// (1−λ)·onehot + λ·correct(logits, labels), built in place in trainLoop's
+// dead one-hot targets, whose rows give back the labels.
+type correctedLoss struct {
+	sec    *secondary
+	lambda float64 // set by phase 1 at the start of each epoch
+}
+
+var _ loss.Loss = (*correctedLoss)(nil)
+
+// Name implements loss.Loss.
+func (*correctedLoss) Name() string { return "lc-corrected-ce" }
+
+// Forward implements loss.Loss.
+func (c *correctedLoss) Forward(logits, onehot *tensor.Tensor) (float64, *tensor.Tensor) {
+	corrected := c.sec.correct(logits, onehot.ArgMaxRows())
+	target := onehot.ScaleIn(1 - c.lambda)
+	target.AddScaledIn(c.lambda, corrected)
+	return loss.CrossEntropy{}.Forward(logits, target)
 }
 
 func (l *LabelCorrection) synthFlip() float64 {

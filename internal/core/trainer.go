@@ -80,13 +80,16 @@ func (m *builtModel) Predict(x *tensor.Tensor) []int {
 	return m.PredictProbs(x).ArgMaxRows()
 }
 
-// batchTargets lets training loops substitute per-batch targets (label
-// correction rewrites them; distillation augments them). The default
+// batchTargets lets training loops substitute per-batch targets
+// (distillation records the batch for its teacher there). The default
 // returns one-hot encodings of the dataset labels.
 type batchTargets func(batchX *tensor.Tensor, batchLabels []int) *tensor.Tensor
 
-// epochHook runs after each epoch with the epoch index and mean loss.
-type epochHook func(epoch int, meanLoss float64)
+// epochHook runs at the start of each epoch, after the optimizer takes
+// the epoch's learning rate lr and before the epoch's shuffle is drawn
+// from shuffle. Epoch 0 starts every attempt, so a stateful hook resets
+// there to recover along with the network.
+type epochHook func(epoch int, lr float64, shuffle *xrand.RNG)
 
 // ErrDiverged marks a training run whose numerics diverged (NaN/Inf loss
 // or exploding gradient norm) and stayed divergent through every bounded
@@ -128,6 +131,9 @@ const (
 // returns its error (context.Canceled / DeadlineExceeded) promptly, which
 // is how per-cell timeouts and CLI interrupts cancel a training run
 // cooperatively.
+//
+// Every technique trains here; label correction trains its secondary in
+// hook (see epochHook), so the guard and the cancellation check cover it.
 func trainLoop(
 	net *nn.Sequential,
 	ds *data.Dataset,
@@ -208,7 +214,6 @@ func runEpochs(
 	hook epochHook,
 ) (div, err error) {
 	optimizer := opt.NewAdam(lr)
-	defer optimizer.Release()
 	schedule := opt.CosineDecay{Total: cfg.Epochs}
 	params := net.Params()
 	arena := net.Arena()
@@ -221,8 +226,10 @@ func runEpochs(
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		optimizer.SetLR(lr * schedule.Factor(epoch))
+		if hook != nil {
+			hook(epoch, optimizer.LR(), shuffleRNG)
+		}
 		shuffled := ds.Shuffled(shuffleRNG)
-		totalLoss, batches := 0.0, 0
 		for start := 0; start < shuffled.Len(); start += cfg.BatchSize {
 			if cfg.Ctx != nil {
 				if cerr := cfg.Ctx.Err(); cerr != nil {
@@ -274,11 +281,6 @@ func runEpochs(
 			if arena != nil {
 				arena.Reset()
 			}
-			totalLoss += l
-			batches++
-		}
-		if hook != nil && batches > 0 {
-			hook(epoch, totalLoss/float64(batches))
 		}
 	}
 	return nil, nil

@@ -92,22 +92,38 @@ func TestTrainLoopRecoveryReusesArena(t *testing.T) {
 	}
 }
 
+// TestTrainLoopPersistentDivergenceReturnsErrDiverged arms the loss
+// faultpoint for every attempt of every technique: each must exhaust its
+// recoveries and report ErrDiverged.
 func TestTrainLoopPersistentDivergenceReturnsErrDiverged(t *testing.T) {
 	train, _ := tinySet(t)
-	cfg := fastConfig()
-	cfg.Tag = "diverge-forever"
-	chaos.Reset()
-	defer chaos.Reset()
-	// Every attempt's loss is corrupted, so recovery must exhaust and the
-	// run must be declared divergent.
-	chaos.Arm("core.trainLoop.loss", cfg.Tag, chaos.Action{NaN: true})
-	_, err := Baseline{}.Train(cfg, TrainSet{Data: train}, xrand.New(23))
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged", err)
-	}
-	// One firing per attempt: initial + maxRecoveries restarts.
-	if got, want := chaos.Firings(), 1+maxRecoveries; got != want {
-		t.Fatalf("fault fired %d times, want %d (one per attempt)", got, want)
+	for _, name := range StudyOrder() {
+		t.Run(name, func(t *testing.T) {
+			tech, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fastConfig()
+			cfg.Tag = "diverge-forever-" + name
+			chaos.Reset()
+			defer chaos.Reset()
+			// Every attempt's loss is corrupted, so recovery must exhaust and
+			// the run must be declared divergent.
+			chaos.Arm("core.trainLoop.loss", cfg.Tag, chaos.Action{NaN: true})
+			_, err = tech.Train(cfg, TrainSet{Data: train}, xrand.New(23))
+			if !errors.Is(err, ErrDiverged) {
+				t.Fatalf("err = %v, want ErrDiverged", err)
+			}
+			// One firing per attempt: initial + maxRecoveries restarts, for
+			// each ensemble member (KD stops at its diverged teacher).
+			want := 1 + maxRecoveries
+			if name == "ens" {
+				want *= tech.ModelsTrained()
+			}
+			if got := chaos.Firings(); got != want {
+				t.Fatalf("fault fired %d times, want %d (one per attempt)", got, want)
+			}
+		})
 	}
 }
 
@@ -126,15 +142,25 @@ func TestTrainLoopInjectedPanicPropagates(t *testing.T) {
 	Baseline{}.Train(cfg, TrainSet{Data: train}, xrand.New(25)) //nolint:errcheck
 }
 
+// TestTrainLoopCancelledContext checks that every technique stops on a
+// cancelled cfg.Ctx and returns its error.
 func TestTrainLoopCancelledContext(t *testing.T) {
 	train, _ := tinySet(t)
-	cfg := fastConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg.Ctx = ctx
-	_, err := Baseline{}.Train(cfg, TrainSet{Data: train}, xrand.New(27))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, name := range StudyOrder() {
+		t.Run(name, func(t *testing.T) {
+			tech, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fastConfig()
+			cfg.Ctx = ctx
+			_, err = tech.Train(cfg, TrainSet{Data: train}, xrand.New(27))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 

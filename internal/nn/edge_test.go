@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"tdfm/internal/tensor"
@@ -38,6 +39,49 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 		if dx.Data()[i] != v {
 			t.Fatalf("dx = %v", dx.Data())
 		}
+	}
+}
+
+// TestMaxPoolNaNRule pins the window rule: the max is seeded with the
+// window's first tap, a NaN tap wins (the first one, bits kept), ties go
+// to the earliest tap, and an all-NaN or all −Inf window still routes its
+// gradient to a tap of its own.
+func TestMaxPoolNaNRule(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	cases := []struct {
+		name   string
+		window [4]float64
+		want   float64
+		argmax int
+	}{
+		{"finite", [4]float64{1, 2, 4, 3}, 4, 2},
+		{"tie keeps earliest", [4]float64{2, 1, 2, 2}, 2, 0},
+		{"first NaN wins", [4]float64{1, negNaN, 5, nan}, negNaN, 1},
+		{"NaN first", [4]float64{nan, 7, inf, 1}, nan, 0},
+		{"all NaN", [4]float64{negNaN, nan, nan, nan}, negNaN, 0},
+		{"all -Inf", [4]float64{-inf, -inf, -inf, -inf}, -inf, 0},
+		{"-Inf then finite", [4]float64{-inf, -inf, -1, -inf}, -1, 2},
+		{"+Inf", [4]float64{3, inf, inf, 0}, inf, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewMaxPool2D(2, 2)
+			y := p.Forward(tensor.FromSlice(tc.window[:], 1, 1, 2, 2), true)
+			if got := y.Data()[0]; math.Float64bits(got) != math.Float64bits(tc.want) {
+				t.Fatalf("max = %v (%#x), want %v (%#x)", got, math.Float64bits(got), tc.want, math.Float64bits(tc.want))
+			}
+			dx := p.Backward(tensor.Full(1, 1, 1, 1, 1)).Data()
+			for i, v := range dx {
+				want := 0.0
+				if i == tc.argmax {
+					want = 1
+				}
+				if v != want {
+					t.Fatalf("dx = %v, want the gradient at tap %d", dx, tc.argmax)
+				}
+			}
+		})
 	}
 }
 

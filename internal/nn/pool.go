@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"tdfm/internal/tensor"
 )
@@ -60,21 +59,16 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 					iy0 := oy * m.geom.StrideH
 					for ox := 0; ox < ow; ox++ {
 						ix0 := ox * m.geom.StrideW
-						best := math.Inf(-1)
-						bestIdx := -1
+						// Seeded with the window's first tap (windows lie
+						// inside the input), a later tap wins if larger or
+						// the first NaN, as NaN propagates in ReLU and GEMM.
+						bestIdx := inBase + iy0*w + ix0
+						best := xd[bestIdx]
 						for ky := 0; ky < m.geom.KH; ky++ {
-							iy := iy0 + ky
-							if iy >= h {
-								break
-							}
-							for kx := 0; kx < m.geom.KW; kx++ {
-								ix := ix0 + kx
-								if ix >= w {
-									break
-								}
-								idx := inBase + iy*w + ix
-								if xd[idx] > best {
-									best, bestIdx = xd[idx], idx
+							row := inBase + (iy0+ky)*w + ix0
+							for idx := row; idx < row+m.geom.KW; idx++ {
+								if v := xd[idx]; v > best || (v != v && best == best) {
+									best, bestIdx = v, idx
 								}
 							}
 						}

@@ -17,11 +17,6 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
-	// Release drops the optimizer's per-parameter state. Call it when
-	// the training run that owns the optimizer finishes; the optimizer
-	// remains usable (its next Step starts from fresh zero state, exactly
-	// like a new optimizer).
-	Release()
 	Name() string
 }
 
@@ -71,9 +66,6 @@ func (s *SGD) Step(params []*nn.Param) {
 		}
 	}
 }
-
-// Release implements Optimizer: the velocity state is dropped.
-func (s *SGD) Release() { clear(s.velocity) }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -139,8 +131,10 @@ func (a *Adam) Step(params []*nn.Param) {
 	}
 }
 
-// Release implements Optimizer: the moment state is dropped and the
-// bias-correction step counter resets.
+// Release drops the moment state and resets the bias-correction step
+// counter. Training never calls it, as the state is garbage once its run
+// ends; it stays only because the benchmark's layer probe (bench/probe.go)
+// calls it.
 func (a *Adam) Release() {
 	clear(a.m)
 	clear(a.v)

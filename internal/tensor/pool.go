@@ -199,6 +199,7 @@ func (a *Arena) WriteOnceLike(x *Tensor) *Tensor { return a.tensor(x.shape, fals
 func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	n := checkShape(shape)
 	if poolOff.Load() {
+		poolMisses.Add(1)
 		return New(shape...)
 	}
 	var t *Tensor

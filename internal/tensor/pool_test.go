@@ -58,6 +58,17 @@ func TestPoolStatsCounters(t *testing.T) {
 			}
 		}
 	})
+	// With reuse off every handout is a fresh allocation, counted as a
+	// miss whether it is a buffer or a tensor.
+	withPooling(t, false, func() {
+		ResetStats()
+		a := NewArena()
+		a.Buf(1 << 10)
+		a.Tensor(4, 5)
+		if s, want := Stats(), (PoolStats{Misses: 2}); s != want {
+			t.Fatalf("pool off: Stats() = %+v, want %+v", s, want)
+		}
+	})
 }
 
 // TestArenaReleaseDropsStorage pins that a released arena keeps no
