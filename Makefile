@@ -24,10 +24,12 @@ fmt:
 # Default quality gate: the static-analysis suite (doc coverage
 # included), the full unit/integration suite, and a race-detector pass
 # over the new obs subsystem (journal appends and sinks are exercised
-# concurrently by pool workers).
+# concurrently by pool workers) and over the arena tests (arenas in
+# different modes run side by side).
 test: lint
 	go test ./...
 	go test -race ./internal/obs/... ./internal/serve/... ./internal/dist/...
+	go test -race -run 'Arena|Pool' ./internal/tensor/
 
 # Race-detector pass over the whole module (quality gate, DESIGN.md §6).
 # internal/experiment trains whole grids and needs about 11 minutes under
@@ -111,8 +113,8 @@ endif
 
 # Memory benchmarks (DESIGN.md §10): pooled vs unpooled allocation rates
 # for the training loop, the serving predict path, and the conv kernels,
-# plus the fresh storage of a conv pass and of a request through core
-# members with pooling off. The allocs/op and B/op
+# plus the fresh storage of a conv pass without an arena and the
+# storage of a request through core members as built. The allocs/op and B/op
 # columns are the point — EXPERIMENTS.md quotes them. SHORT=1 caps each
 # benchmark at a few iterations: the CI smoke mode, which proves the
 # benchmarks still run without paying for stable numbers.

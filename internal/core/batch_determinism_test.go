@@ -6,10 +6,10 @@ package core
 // the contract for every study architecture: PredictProbs over any
 // chunking of the same rows — per-example, batch 3, the full batch —
 // produces byte-identical probabilities at every tested worker count.
-// Each network runs on an arena, as built models do, with every
-// write-once handout filled with NaN (tensor.SetPoisonWriteOnce): a layer
-// that read a write-once element before writing it would turn the
-// probabilities NaN.
+// Each network runs on an arena, as built models do, and the arena is
+// poisoned (tensor.NewPoisonArena), filling every write-once handout
+// with NaN: a layer that read a write-once element before writing it
+// would turn the probabilities NaN.
 
 import (
 	"math"
@@ -28,11 +28,6 @@ func TestPredictProbsBatchInvariantAcrossModels(t *testing.T) {
 	)
 	oldPar := tensor.Parallelism()
 	defer tensor.SetParallelism(oldPar)
-	oldPool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(oldPool)
-	tensor.SetPooling(true)
-	tensor.SetPoisonWriteOnce(true)
-	defer tensor.SetPoisonWriteOnce(false)
 
 	// One fixed 17-row input, deterministic but not uniform.
 	x := tensor.New(n, 1, h, w)
@@ -50,7 +45,7 @@ func TestPredictProbsBatchInvariantAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nn.InstallArena(net, tensor.NewArena())
+			nn.InstallArena(net, tensor.NewPoisonArena())
 			m := &builtModel{net: net, classes: classes}
 
 			// Reference: strict per-example loop at a single worker.

@@ -6,7 +6,7 @@ import (
 	"tdfm/internal/data"
 	"tdfm/internal/datagen"
 	"tdfm/internal/loss"
-	"tdfm/internal/tensor"
+	"tdfm/internal/nn"
 	"tdfm/internal/xrand"
 )
 
@@ -25,21 +25,20 @@ func benchSet(b *testing.B) *data.Dataset {
 	return train
 }
 
-// benchTrain runs four-epoch training iterations on a prebuilt convnet
-// with pooling forced to the given mode. One op is one full trainLoop
+// benchTrain runs four-epoch training iterations on a prebuilt convnet,
+// on its built arena (pooled) or the nil arena. One op is one full trainLoop
 // call — the unit real experiment cells pay for — so per-run fixed costs
 // (weight snapshot, optimizer state) amortize over epochs exactly as
 // they do in the grid runner.
 func benchTrain(b *testing.B, pooled bool) {
-	old := tensor.PoolingEnabled()
-	tensor.SetPooling(pooled)
-	defer tensor.SetPooling(old)
-
 	train := benchSet(b)
 	cfg := Config{Arch: "convnet", Epochs: 4, BatchSize: 32, LR: 0.01}
 	_, bm, err := cfg.buildFor(train, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if !pooled {
+		nn.InstallArena(bm.net, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

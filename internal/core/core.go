@@ -107,8 +107,8 @@ func (c Config) buildFor(ds *data.Dataset, rng *xrand.RNG) (Classifier, *builtMo
 	}
 	// Every built network gets its own allocation arena: the training loop
 	// recycles activations after each optimizer step, inference after each
-	// chunk (DESIGN.md §10). With reuse disabled (tensor.SetPooling) the
-	// arena is inert and every handout is a plain allocation.
+	// chunk (DESIGN.md §10). Tests that need the allocate-per-call
+	// reference install the nil arena over it.
 	nn.InstallArena(net, tensor.NewArena())
 	bm := &builtModel{net: net, cfg: resolved, classes: ds.NumClasses,
 		inC: ds.Channels(), inH: ds.Height(), inW: ds.Width()}

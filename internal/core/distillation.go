@@ -60,9 +60,7 @@ func (k KnowledgeDistillation) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (C
 	}
 	// The student's training refills the teacher's arena with eval
 	// forwards; drop those buffers too once the student is trained.
-	if a := teacher.net.Arena(); a != nil {
-		defer a.Release()
-	}
+	defer teacher.net.Arena().Release()
 
 	// Student: same architecture, fresh initialization (self distillation).
 	student, bm, err := cfg.buildFor(ts.Data, rng.Split("student-init"))
@@ -110,9 +108,7 @@ func (d *distillLoss) Forward(logits, targets *tensor.Tensor) (float64, *tensor.
 	teacherProbs := loss.SoftmaxT(teacherLogits, d.temp)
 	// The softened probabilities are fresh storage, so the teacher's
 	// activations (including teacherLogits) can recycle immediately.
-	if a := d.teacher.net.Arena(); a != nil {
-		a.Reset()
-	}
+	d.teacher.net.Arena().Reset()
 	return d.kd.ForwardKD(logits, targets, teacherProbs)
 }
 

@@ -174,9 +174,7 @@ func (l *LabelCorrection) Train(cfg Config, ts TrainSet, rng *xrand.RNG) (Classi
 			nn.ZeroGrads(sec.net)
 			// The primary ran inference-only this phase; its activations
 			// (already folded into feats) recycle per batch.
-			if a := primary.net.Arena(); a != nil {
-				a.Reset()
-			}
+			primary.net.Arena().Reset()
 		}
 		// The correction weight λ ramps in over training: early on the
 		// primary's logits are uninformative and the secondary would only

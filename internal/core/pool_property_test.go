@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tdfm/internal/loss"
 	"tdfm/internal/models"
 	"tdfm/internal/nn"
 	"tdfm/internal/tensor"
@@ -12,34 +13,35 @@ import (
 
 // TestTrainingPooledMatchesUnpooled is the byte-identity property behind
 // the whole arena design (DESIGN.md §10): training with arena reuse
-// enabled produces bit-for-bit the same model — observed through its
-// test-set probabilities — as the reference allocate-per-call path
-// (tensor.SetPooling(false)), for every study architecture. Zero-filled
-// handouts match fresh allocations, and the pooled run fills every
-// write-once handout with NaN (tensor.SetPoisonWriteOnce): a layer that
-// read a write-once element before writing it would turn the pooled
-// probabilities NaN, while the unpooled run's handouts are plain zeros.
+// produces bit-for-bit the same model — observed through its test-set
+// probabilities — as the reference allocate-per-call path (the nil
+// arena), for every study architecture. Each run builds and trains as
+// Baseline.Train does, with the mode under test installed in place of
+// the built network's arena. Zero-filled handouts match fresh
+// allocations, and the pooled run's arena is poisoned, filling every
+// write-once handout with NaN: a layer that read a write-once element
+// before writing it would turn the pooled probabilities NaN, while the
+// unpooled run's handouts are plain zeros.
 func TestTrainingPooledMatchesUnpooled(t *testing.T) {
 	train, test := tinySet(t)
-	oldPool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(oldPool)
-	tensor.SetPoisonWriteOnce(true)
-	defer tensor.SetPoisonWriteOnce(false)
-
 	for _, arch := range models.StudyModels() {
 		t.Run(arch, func(t *testing.T) {
 			cfg := Config{Arch: arch, Epochs: 2, BatchSize: 32, LR: 0.01}
-			run := func(pooled bool) []float64 {
-				tensor.SetPooling(pooled)
-				c, err := Baseline{}.Train(cfg, TrainSet{Data: train}, xrand.New(11))
+			run := func(arena *tensor.Arena) []float64 {
+				rng := xrand.New(11)
+				c, bm, err := cfg.buildFor(train, rng.Split("init"))
 				if err != nil {
-					t.Fatalf("pooled=%v: %v", pooled, err)
+					t.Fatal(err)
+				}
+				nn.InstallArena(bm.net, arena)
+				if err := trainLoop(bm.net, train, loss.CrossEntropy{}, cfg, rng.Split("train"), nil, nil); err != nil {
+					t.Fatalf("pooled=%v: %v", arena != nil, err)
 				}
 				probs := c.PredictProbs(test.X)
 				return append([]float64(nil), probs.Data()...)
 			}
 
-			on, off := run(true), run(false)
+			on, off := run(tensor.NewPoisonArena()), run(nil)
 			if len(on) != len(off) {
 				t.Fatalf("probability counts differ: %d vs %d", len(on), len(off))
 			}
@@ -60,9 +62,6 @@ func TestTrainingPooledMatchesUnpooled(t *testing.T) {
 // cold pass is a miss.
 func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 	const h, w = 8, 8
-	oldPool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(oldPool)
-	tensor.SetPooling(true)
 	x := tensor.New(32, 1, h, w)
 	for i := range x.Data() {
 		x.Data()[i] = float64(i%13)/13 - 0.5
@@ -77,9 +76,9 @@ func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 				t.Fatal(err)
 			}
 			nn.InstallArena(net, tensor.NewArena())
-			tensor.ResetStats()
+			before := tensor.Stats()
 			net.Forward(x, false)
-			if s := tensor.Stats(); s.Hits == 0 {
+			if s := tensor.Stats(); s.Hits == before.Hits {
 				t.Fatalf("cold 32-row inference forward reused no storage (%v): dead activations were not recycled", s)
 			}
 		})
@@ -90,16 +89,11 @@ func TestEvalForwardRecyclesDeadActivations(t *testing.T) {
 // (nn.Sequential.BackwardParams, which skips the first layer's input
 // gradient) to the full Backward on every study architecture and on
 // label correction's Dense-first secondary network: each parameter
-// gradient must be bit-identical. Write-once handouts arrive
-// NaN-poisoned, so a skipped computation that some gradient still read
-// would show as NaN.
+// gradient must be bit-identical. Each network runs on a poisoned arena,
+// whose write-once handouts arrive NaN-filled, so a skipped computation
+// that some gradient still read would show as NaN.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
 	const h, w, classes = 8, 8, 3
-	oldPool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(oldPool)
-	tensor.SetPooling(true)
-	tensor.SetPoisonWriteOnce(true)
-	defer tensor.SetPoisonWriteOnce(false)
 	fill := func(x *tensor.Tensor, mod int, shift float64) *tensor.Tensor {
 		for i := range x.Data() {
 			x.Data()[i] = float64(i%mod)/float64(mod) - shift
@@ -132,7 +126,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			grads := func(full bool) [][]float64 {
 				net := c.build(t)
-				nn.InstallArena(net, tensor.NewArena())
+				nn.InstallArena(net, tensor.NewPoisonArena())
 				logits := net.Forward(c.x, true)
 				dout := fill(tensor.NewLike(logits), 7, 0.3)
 				if full {

@@ -209,9 +209,7 @@ func ReleaseArenas(c Classifier) {
 	switch v := c.(type) {
 	case *builtModel:
 		v.mu.Lock()
-		if a := v.net.Arena(); a != nil {
-			a.Release()
-		}
+		v.net.Arena().Release()
 		v.mu.Unlock()
 	case *VotingClassifier:
 		for _, m := range v.Members {

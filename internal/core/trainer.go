@@ -55,9 +55,7 @@ func (m *builtModel) PredictProbs(x *tensor.Tensor) *tensor.Tensor {
 	arena := m.net.Arena()
 	if n <= predictBatch {
 		probs := loss.Softmax(m.net.Forward(x, false))
-		if arena != nil {
-			arena.Reset() // probs are fresh storage; activations recycle here
-		}
+		arena.Reset() // probs are fresh storage; activations recycle here
 		return probs
 	}
 	out := tensor.New(n, m.classes)
@@ -68,9 +66,7 @@ func (m *builtModel) PredictProbs(x *tensor.Tensor) *tensor.Tensor {
 		}
 		probs := loss.Softmax(m.net.Forward(x.SliceRows(start, end), false))
 		copy(out.Data()[start*m.classes:end*m.classes], probs.Data())
-		if arena != nil {
-			arena.Reset()
-		}
+		arena.Reset()
 	}
 	return out
 }
@@ -147,21 +143,16 @@ func trainLoop(
 	if err != nil {
 		return err
 	}
-	if a := net.Arena(); a != nil {
-		// Training's buffers are dead once the loop returns: released,
-		// they go to the garbage collector instead of staying in the
-		// arena for this network's smaller eval forwards.
-		defer a.Release()
-	}
+	// Training's buffers are dead once the loop returns: released, they
+	// go to the garbage collector instead of staying in the arena for
+	// this network's smaller eval forwards.
+	defer net.Arena().Release()
 	if targets == nil {
-		// Default one-hot targets draw from the network's arena when one is
-		// installed: the target tensor is dead after the batch's loss
-		// gradient is computed, so it recycles with the activations.
+		// Default one-hot targets draw from the network's arena: the target
+		// tensor is dead after the batch's loss gradient is computed, so it
+		// recycles with the activations.
 		targets = func(_ *tensor.Tensor, labels []int) *tensor.Tensor {
-			if a := net.Arena(); a != nil {
-				return data.FillOneHot(a.Tensor(len(labels), ds.NumClasses), labels)
-			}
-			return data.OneHot(labels, ds.NumClasses)
+			return data.FillOneHot(net.Arena().Tensor(len(labels), ds.NumClasses), labels)
 		}
 	}
 	// The initial weights are snapshotted once so every recovery attempt
@@ -217,13 +208,11 @@ func runEpochs(
 	schedule := opt.CosineDecay{Total: cfg.Epochs}
 	params := net.Params()
 	arena := net.Arena()
-	if arena != nil {
-		// Every return leaves the arena reset, so a recovery attempt reuses
-		// this attempt's buffers instead of allocating a second set while
-		// the first is still live. The arena keeps them until trainLoop
-		// releases it.
-		defer arena.Reset()
-	}
+	// Every return leaves the arena reset, so a recovery attempt reuses
+	// this attempt's buffers instead of allocating a second set while the
+	// first is still live. The arena keeps them until trainLoop releases
+	// it.
+	defer arena.Reset()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		optimizer.SetLR(lr * schedule.Factor(epoch))
 		if hook != nil {
@@ -278,9 +267,7 @@ func runEpochs(
 			}
 			// All of this batch's activations and scratch are dead once the
 			// step is applied; recycle them for the next batch.
-			if arena != nil {
-				arena.Reset()
-			}
+			arena.Reset()
 		}
 	}
 	return nil, nil

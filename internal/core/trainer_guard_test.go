@@ -59,9 +59,6 @@ func TestTrainLoopRecoversFromTransientNaN(t *testing.T) {
 // attempt's first batch draws every buffer from the arena's freelists,
 // so the pool records no miss between the two batches' targets.
 func TestTrainLoopRecoveryReusesArena(t *testing.T) {
-	old := tensor.PoolingEnabled()
-	tensor.SetPooling(true)
-	defer tensor.SetPooling(old)
 	train, _ := tinySet(t)
 	cfg := fastConfig()
 	cfg.Epochs = 1

@@ -40,20 +40,15 @@ func bnBackwardRef(b *BatchNorm2D, dout *tensor.Tensor) []float64 {
 
 // TestBatchNormBackwardMatchesReference pins the hoisted division in
 // BatchNorm2D.Backward to the original loop, bit for bit, on inputs and
-// gradients salted with ±0 and into a NaN-poisoned write-once
-// destination (every element must be written).
+// gradients salted with ±0 and into a write-once destination from a
+// poisoned arena, NaN-filled (every element must be written).
 func TestBatchNormBackwardMatchesReference(t *testing.T) {
-	oldPool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(oldPool)
-	tensor.SetPooling(true)
-	tensor.SetPoisonWriteOnce(true)
-	defer tensor.SetPoisonWriteOnce(false)
 	rng := xrand.New(3)
 	shapes := [][4]int{{1, 1, 1, 1}, {2, 3, 4, 4}, {5, 2, 3, 7}, {8, 4, 6, 6}}
 	for _, s := range shapes {
 		n, ch, h, w := s[0], s[1], s[2], s[3]
 		bn := NewBatchNorm2D("bn", ch)
-		bn.setArena(tensor.NewArena())
+		bn.setArena(tensor.NewPoisonArena())
 		for i, g := range []float64{1.5, -0.75, 0.25, 3} {
 			if i < ch {
 				bn.gamma.W.Data()[i] = g

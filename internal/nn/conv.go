@@ -203,9 +203,6 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				iy0 := oy*d.geom.StrideH - d.geom.PadH
 				for ox := 0; ox < ow; ox++ {
 					g := dod[outBase+oy*ow+ox]
-					if g == 0 {
-						continue
-					}
 					gb[ch] += g
 					ix0 := ox*d.geom.StrideW - d.geom.PadW
 					for ky := 0; ky < k; ky++ {

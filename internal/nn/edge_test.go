@@ -173,6 +173,27 @@ func TestGradAccumulationAcrossBackwards(t *testing.T) {
 	}
 }
 
+// TestConvZeroGradInfInput pins the IEEE rule both convolutions follow
+// in Backward: an Inf input under a zero output gradient contributes
+// 0·Inf = NaN to every filter tap that reads it, so no zero-gradient
+// shortcut may skip the product. The 3×3 filter over a 4×4 input with
+// padding 1 reads the Inf pixel with every tap.
+func TestConvZeroGradInfInput(t *testing.T) {
+	for name, l := range map[string]Layer{
+		"conv":   NewConv2D("c", 1, 1, 3, 1, 1, xrand.New(1)),
+		"dwconv": NewDepthwiseConv2D("dw", 1, 3, 1, 1, xrand.New(1)),
+	} {
+		x := tensor.New(1, 1, 4, 4)
+		x.Data()[5] = math.Inf(1)
+		l.Backward(tensor.NewLike(l.Forward(x, true)))
+		for i, g := range l.Params()[0].Grad.Data() {
+			if !math.IsNaN(g) {
+				t.Errorf("%s: filter grad[%d] = %v under a zero output gradient over an Inf input, want NaN", name, i, g)
+			}
+		}
+	}
+}
+
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	cases := map[string]Layer{
 		"dense":   NewDense("d", 2, 2, xrand.New(1)),

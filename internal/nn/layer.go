@@ -37,67 +37,48 @@ func newParam(name string, shape ...int) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// arenaHolder embeds an optional tensor.Arena into a layer. When an arena
-// is installed (see InstallArena), every activation and scratch tensor the
-// layer allocates comes from the arena and is recycled wholesale by the
-// owner's Arena.Reset at batch/chunk boundaries, and layer by layer
-// within an inference forward (see Sequential.Forward); without one,
-// alloc is plain tensor.New and behaviour is exactly the historical
-// allocate-per-call path. The two modes are byte-identical: alloc is
+// arenaHolder embeds a tensor.Arena into a layer. Every activation and
+// scratch tensor the layer allocates comes from the arena installed by
+// InstallArena and is recycled wholesale by the owner's Arena.Reset at
+// batch/chunk boundaries, and layer by layer within an inference forward
+// (see Sequential.Forward). Until an arena is installed the field is the
+// nil arena, whose handouts are plain allocations: the historical
+// allocate-per-call path. The modes are byte-identical: alloc is
 // zero-filled either way, and allocWriteOnce is used only for
 // destinations whose every element is written before any is read.
+//
+// The alloc helpers keep arena handouts behind a callee: a layer stores
+// them in its fields for Backward, which the poolown lint would flag as
+// escapes at a direct Arena call.
 type arenaHolder struct {
 	arena *tensor.Arena
 }
 
-// setArena installs (or clears, with nil) the layer's arena.
+// setArena installs the layer's arena (nil for allocate-per-call).
 func (h *arenaHolder) setArena(a *tensor.Arena) { h.arena = a }
 
-// alloc returns a zero-filled tensor from the arena when one is installed,
-// else a fresh tensor.
-func (h *arenaHolder) alloc(shape ...int) *tensor.Tensor {
-	if h.arena != nil {
-		return h.arena.Tensor(shape...)
-	}
-	return tensor.New(shape...)
-}
+// alloc returns a zero-filled tensor from the layer's arena.
+func (h *arenaHolder) alloc(shape ...int) *tensor.Tensor { return h.arena.Tensor(shape...) }
 
 // allocLike is alloc with x's shape, avoiding the shape copy that an
 // x.Shape() spread would allocate on every call.
-func (h *arenaHolder) allocLike(x *tensor.Tensor) *tensor.Tensor {
-	if h.arena != nil {
-		return h.arena.TensorLike(x)
-	}
-	return tensor.NewLike(x)
-}
+func (h *arenaHolder) allocLike(x *tensor.Tensor) *tensor.Tensor { return h.arena.TensorLike(x) }
 
-// allocWriteOnce is alloc without the zero fill: an arena handout keeps
+// allocWriteOnce is alloc without the zero fill: a reused handout keeps
 // stale contents (see tensor.Arena.WriteOnce), so the caller must write
-// every element before reading any. Without an arena it is tensor.New.
+// every element before reading any.
 func (h *arenaHolder) allocWriteOnce(shape ...int) *tensor.Tensor {
-	if h.arena != nil {
-		return h.arena.WriteOnce(shape...)
-	}
-	return tensor.New(shape...)
+	return h.arena.WriteOnce(shape...)
 }
 
 // allocWriteOnceLike is allocWriteOnce with x's shape, without the shape
 // copy an x.Shape() spread would allocate.
 func (h *arenaHolder) allocWriteOnceLike(x *tensor.Tensor) *tensor.Tensor {
-	if h.arena != nil {
-		return h.arena.WriteOnceLike(x)
-	}
-	return tensor.NewLike(x)
+	return h.arena.WriteOnceLike(x)
 }
 
-// allocBuf returns a zero-filled []float64 from the arena when one is
-// installed, else a fresh slice.
-func (h *arenaHolder) allocBuf(n int) []float64 {
-	if h.arena != nil {
-		return h.arena.Buf(n)
-	}
-	return make([]float64, n)
-}
+// allocBuf returns a zero-filled []float64 from the layer's arena.
+func (h *arenaHolder) allocBuf(n int) []float64 { return h.arena.Buf(n) }
 
 // arenaUser is implemented (via arenaHolder embedding) by every layer that
 // allocates activations or scratch.
@@ -109,8 +90,8 @@ type arenaUser interface {
 // allocates, so all activations and scratch of one model share one
 // allocation scope. Callers own the reset cadence: the training loop
 // resets after each optimizer step, the inference path after each
-// predicted chunk (DESIGN.md §10). Pass nil to detach the network from its
-// arena. Installing an arena does not change any numeric result — arena
+// predicted chunk (DESIGN.md §10). Pass nil to make the network allocate
+// per call. Installing an arena does not change any numeric result — arena
 // buffers are zero-filled exactly like fresh ones, except write-once
 // handouts, whose every element the layer overwrites.
 func InstallArena(l Layer, a *tensor.Arena) {
@@ -158,20 +139,20 @@ func (s *Sequential) Len() int { return len(s.layers) }
 func (s *Sequential) Layers() []Layer { return s.layers }
 
 // Arena returns the allocation arena installed on this network by
-// InstallArena, or nil when the network allocates per call. The training
-// loop and chunked inference use it to recycle activations at safe points.
+// InstallArena; nil, the allocate-per-call arena, when none is. The
+// training loop and chunked inference use it to recycle activations at
+// safe points.
 func (s *Sequential) Arena() *tensor.Arena { return s.arena }
 
 // Forward runs the layers in order. An inference forward (training
-// false) over an installed arena returns each layer's dead activations
-// and scratch to the arena as soon as the next layer's output exists, so
-// the arena holds the pass's live set instead of the sum of its
-// activations. Only storage handed out during this call is recycled:
+// false) returns each layer's dead activations and scratch to the arena
+// as soon as the next layer's output exists, so the arena holds the
+// pass's live set instead of the sum of its activations. Only storage handed out during this call is recycled:
 // the caller's input predates the mark, and a nested Sequential (a
 // residual branch) leaves its output for this one to recycle. A training
 // forward keeps every activation for Backward.
 func (s *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if training || s.arena == nil {
+	if training {
 		for _, l := range s.layers {
 			x = l.Forward(x, training)
 		}

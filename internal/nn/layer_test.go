@@ -48,9 +48,6 @@ func TestDenseWrongInputPanics(t *testing.T) {
 // an arena at parallelism 1 makes no heap allocation: activations,
 // gradients and the transB packing scratch all come from the arena.
 func TestArenaTrainingStepAllocatesNothing(t *testing.T) {
-	old := tensor.PoolingEnabled()
-	tensor.SetPooling(true)
-	defer tensor.SetPooling(old)
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(1)
 	rng := xrand.New(9)
@@ -96,8 +93,8 @@ func TestReLUForward(t *testing.T) {
 	// Bit-level pins for the branch-free selects. Forward keeps x unless
 	// x <= 0, so NaNs of either sign survive and −0 becomes +0; backward
 	// passes dout exactly (a −0 included) where out > 0 and writes +0
-	// elsewhere, a NaN output included. Each case runs without an arena
-	// and on a pooled arena whose write-once handouts arrive NaN-filled.
+	// elsewhere, a NaN output included. Each case runs on the nil arena
+	// and on a poisoned arena, whose write-once handouts arrive NaN-filled.
 	negZero := math.Copysign(0, -1)
 	nan, inf := math.NaN(), math.Inf(1)
 	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
@@ -113,16 +110,9 @@ func TestReLUForward(t *testing.T) {
 			}
 		}
 	}
-	for _, arena := range []bool{false, true} {
+	for _, arena := range []*tensor.Arena{nil, tensor.NewPoisonArena()} {
 		r := NewReLU()
-		if arena {
-			old := tensor.PoolingEnabled()
-			tensor.SetPooling(true)
-			tensor.SetPoisonWriteOnce(true)
-			InstallArena(r, tensor.NewArena())
-			defer tensor.SetPooling(old)
-			defer tensor.SetPoisonWriteOnce(false)
-		}
+		InstallArena(r, arena)
 		sameBits("forward", r.Forward(tensor.FromSlice(append([]float64(nil), in...), len(in)), true), wantOut)
 		sameBits("backward", r.Backward(tensor.FromSlice(append([]float64(nil), dout...), len(dout))), wantDx)
 	}

@@ -60,9 +60,7 @@ func (c *netClf) PredictProbs(x *tensor.Tensor) *tensor.Tensor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := loss.Softmax(c.net.Forward(x, false))
-	if a := c.net.Arena(); a != nil {
-		a.Reset() // softmax output is fresh storage; activations recycle
-	}
+	c.net.Arena().Reset() // softmax output is fresh storage; activations recycle
 	return out
 }
 
@@ -73,9 +71,10 @@ func (c *netClf) Predict(x *tensor.Tensor) []int {
 // benchMembers builds a three-member ensemble of the given flavour (see
 // the package comment above for what each flavour isolates). withArena
 // installs a per-member arena so activations recycle between requests —
-// the alloc benchmarks measure that path; the throughput rows keep the
-// plain allocate-per-call members so the committed trajectory stays
-// like-for-like with its historical baseline.
+// the alloc benchmarks' pooled legs measure that path; the throughput
+// rows and the unpooled legs keep the nil arena, allocate-per-call, so
+// the committed trajectory stays like-for-like with its historical
+// baseline.
 func benchMembers(tb testing.TB, flavour string, withArena bool) []Member {
 	tb.Helper()
 	ms := make([]Member, 3)
@@ -228,20 +227,10 @@ func benchBulk(b *testing.B, members []Member, rows int) {
 }
 
 // benchPredictCore measures a rows-row request through real core
-// members with pooling disabled, so the B/op column is the storage a
-// request allocates fresh rather than what the arenas leave of it.
-func benchPredictCore(b *testing.B, rows int) {
-	withPooling(false, func() { benchBulk(b, benchCoreMembers(b), rows) })
-}
-
-// withPooling runs fn with tensor arena reuse forced on or off,
-// restoring the previous mode afterwards.
-func withPooling(on bool, fn func()) {
-	old := tensor.PoolingEnabled()
-	tensor.SetPooling(on)
-	defer tensor.SetPooling(old)
-	fn()
-}
+// members as built, each on its own arena — the only mode serve runs —
+// so the B/op column is what a request allocates beyond what the arenas
+// reuse.
+func benchPredictCore(b *testing.B, rows int) { benchBulk(b, benchCoreMembers(b), rows) }
 
 func BenchmarkFanout(b *testing.B) {
 	for _, flavour := range []string{"stub", "linear", "convnet"} {
@@ -264,23 +253,23 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkAllocPredict tracks the allocation rate of one 32-row
-// request over arena-backed members with arena reuse on versus off
-// (run with -benchmem; the allocs/op and B/op columns are the point of
-// this benchmark).
+// request over members with a reusing arena versus the nil arena (run
+// with -benchmem; the allocs/op and B/op columns are the point of this
+// benchmark).
 func BenchmarkAllocPredict(b *testing.B) {
 	const rows = 32
 	b.Run("pooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), rows) })
+		benchBulk(b, benchMembers(b, "convnet", true), rows)
 	})
 	b.Run("unpooled/b=32", func(b *testing.B) {
 		b.ReportAllocs()
-		withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), rows) })
+		benchBulk(b, benchMembers(b, "convnet", false), rows)
 	})
 }
 
-// BenchmarkPredictCore tracks one 32-row request's fresh storage through
-// real core members (see benchPredictCore).
+// BenchmarkPredictCore tracks one 32-row request's storage through real
+// core members (see benchPredictCore).
 func BenchmarkPredictCore(b *testing.B) {
 	b.ReportAllocs()
 	benchPredictCore(b, 32)
@@ -400,17 +389,13 @@ func TestEmitServeBenchJSON(t *testing.T) {
 
 	// Memory rows, each one 32-row request per op. The pooled/unpooled
 	// pair tracks what arena reuse saves on the predict path
-	// (allocs/op, B/op); the core row tracks the fresh storage of a
-	// request through real core members.
+	// (allocs/op, B/op); the core row tracks the storage of a request
+	// through real core members as built.
 	const allocReqs = 32
 	pooled := measureAlloc(fmt.Sprintf("alloc/predict/pooled/b=%d", allocReqs), allocReqs,
-		func(b *testing.B) {
-			withPooling(true, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs) })
-		})
+		func(b *testing.B) { benchBulk(b, benchMembers(b, "convnet", true), allocReqs) })
 	unpooled := measureAlloc(fmt.Sprintf("alloc/predict/unpooled/b=%d", allocReqs), allocReqs,
-		func(b *testing.B) {
-			withPooling(false, func() { benchBulk(b, benchMembers(b, "convnet", true), allocReqs) })
-		})
+		func(b *testing.B) { benchBulk(b, benchMembers(b, "convnet", false), allocReqs) })
 	f.Benchmarks = append(f.Benchmarks, pooled, unpooled)
 	f.Speedups[fmt.Sprintf("predict_allocs_unpooled_vs_pooled_b%d", allocReqs)] =
 		float64(unpooled.AllocsPerOp) / float64(pooled.AllocsPerOp)

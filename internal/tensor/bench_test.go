@@ -67,9 +67,9 @@ func convPerExample(x, w *Tensor) []*Tensor {
 
 // convBatchedArena is convBatched with arena storage: the column matrix
 // and the product come from a and return with its Reset, so steady-state
-// iterations recycle buffers instead of allocating. With pooling
-// disabled the arena hands out plain make, the allocate-per-call path
-// that the alloc benchmark's unpooled leg measures.
+// iterations recycle buffers instead of allocating. The nil arena hands
+// out plain make, the allocate-per-call path that the alloc benchmark's
+// unpooled leg measures.
 func convBatchedArena(a *Arena, x, w *Tensor) {
 	n, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := convBenchGeom.OutSize(h, wd)
@@ -231,15 +231,15 @@ func BenchmarkConvTransforms(b *testing.B) {
 	}
 }
 
-// benchAllocConv measures the batched conv on an arena with pooling
-// forced on or off. One warm-up call primes the arena so the pooled leg
+// benchAllocConv measures the batched conv on a reusing arena (pooled)
+// or the nil arena. One warm-up call primes the arena so the pooled leg
 // reports its steady state rather than first-touch misses.
 func benchAllocConv(b *testing.B, n int, pooled bool) {
-	old := PoolingEnabled()
-	SetPooling(pooled)
-	defer SetPooling(old)
 	x, w := convBenchInput(n)
-	a := NewArena()
+	var a *Arena
+	if pooled {
+		a = NewArena()
+	}
 	convBatchedArena(a, x, w)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -249,13 +249,10 @@ func benchAllocConv(b *testing.B, n int, pooled bool) {
 	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// benchConvUnpooled measures the batched conv with pooling disabled, so
-// B/op is the storage a pass allocates fresh rather than what buffer
-// reuse leaves of it.
+// benchConvUnpooled measures the batched conv without an arena, so B/op
+// is the storage a pass allocates fresh rather than what buffer reuse
+// leaves of it.
 func benchConvUnpooled(b *testing.B, n int) {
-	old := PoolingEnabled()
-	SetPooling(false)
-	defer SetPooling(old)
 	x, w := convBenchInput(n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -419,8 +416,8 @@ func TestEmitTensorBenchJSON(t *testing.T) {
 		}
 	}
 
-	// Memory rows: pool on/off through the same code path, then the
-	// batched conv's fresh storage with pooling off.
+	// Memory rows: a reusing and the nil arena through the same code
+	// path, then the batched conv's fresh storage without an arena.
 	const allocN = 32
 	pooled := measureAlloc(fmt.Sprintf("alloc/conv/pooled/n=%d", allocN), allocN,
 		func(b *testing.B) { benchAllocConv(b, allocN, true) })

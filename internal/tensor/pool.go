@@ -17,9 +17,10 @@ import (
 // returned individually. Storage an arena releases goes to the garbage
 // collector; there is no process-wide pool.
 //
-// Reuse is on by default. SetPooling(false), for tests and benchmarks,
-// turns every arena handout into plain make, which is the reference
-// behaviour the byte-identity property tests compare against.
+// Reuse is a property of the arena, chosen when it is made: the nil
+// *Arena allocates per call (the reference the byte-identity property
+// tests compare against), NewArena reuses, and NewPoisonArena reuses and
+// NaN-fills its write-once handouts. There is no process-wide switch.
 
 // numBuckets bounds the arena size classes: bucket b holds slices of
 // capacity 1<<b elements, so the largest class is far beyond any
@@ -27,33 +28,10 @@ import (
 const numBuckets = 34
 
 var (
-	// poolOff is set while reuse is disabled, so the zero value is on.
-	poolOff         atomic.Bool
-	poisonWriteOnce atomic.Bool
-
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
 	poolBytes  atomic.Uint64
 )
-
-// SetPooling enables or disables arena reuse at runtime. It exists so
-// the byte-identity property tests and the memory benchmarks can compare
-// pooled and unpooled runs in one process. With reuse off every arena
-// handout is plain make and nothing is tracked. Toggle it only while no
-// arena is in use on another goroutine.
-func SetPooling(on bool) { poolOff.Store(!on) }
-
-// SetPoisonWriteOnce makes every pooled Arena.WriteOnce and WriteOnceLike
-// handout arrive filled with NaN instead of stale contents. It exists for
-// tests only: a layer that reads an element of a write-once destination
-// before writing it then turns its output NaN, which a comparison against
-// an unpooled run (whose write-once handouts are New's zeros) catches.
-// Like SetPooling, toggle it only while no arena is in use on another
-// goroutine.
-func SetPoisonWriteOnce(on bool) { poisonWriteOnce.Store(on) }
-
-// PoolingEnabled reports whether arena reuse is active.
-func PoolingEnabled() bool { return !poolOff.Load() }
 
 // PoolStats is a snapshot of the arenas' reuse counters. Hits and Misses
 // count buffer requests served from an arena freelist versus fresh
@@ -78,13 +56,6 @@ func Stats() PoolStats {
 		Misses:      poolMisses.Load(),
 		BytesReused: poolBytes.Load(),
 	}
-}
-
-// ResetStats zeroes the reuse counters (tests and benchmarks).
-func ResetStats() {
-	poolHits.Store(0)
-	poolMisses.Store(0)
-	poolBytes.Store(0)
 }
 
 // bucketIndex returns the size class for a request of n elements: the
@@ -113,6 +84,12 @@ func bucketIndex(n int) int {
 // for destinations whose every element the caller overwrites before
 // reading any: a recycled buffer then costs no memory pass.
 //
+// A nil *Arena is valid and reuses nothing: every handout is a fresh
+// allocation counted as a miss (write-once ones hold New's zeros), Mark
+// returns the zero mark, and RecycleSince, Reset and Release do nothing.
+// It is the allocate-per-call reference, and the mode of a network with
+// no arena installed.
+//
 // An Arena is not safe for concurrent use — it serves a single network,
 // and networks already require external serialization (see package nn).
 // Callers must not retain arena-backed tensors across a Reset: the
@@ -129,6 +106,9 @@ type Arena struct {
 	// (the shape slice is reused in place when capacity allows).
 	freeT []*Tensor
 	liveT []*Tensor
+
+	// poison fills every write-once handout with NaN (NewPoisonArena).
+	poison bool
 }
 
 // ArenaMark is a point in an arena's handout sequence (see Arena.Mark).
@@ -137,13 +117,20 @@ type ArenaMark struct{ bufs, tensors int }
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
+// NewPoisonArena returns an empty arena whose WriteOnce and WriteOnceLike
+// handouts arrive filled with NaN instead of stale contents. It exists
+// for tests: a layer that reads an element of a write-once destination
+// before writing it then turns its output NaN, which a comparison
+// against a nil arena (whose write-once handouts are New's zeros)
+// catches.
+func NewPoisonArena() *Arena { return &Arena{poison: true} }
+
 // get hands out a length-n slice from the arena freelist, falling back
 // to make at the bucket's capacity; the buffer is tracked as live until
 // it is recycled. It is zero-filled when zero is set and holds stale
-// contents otherwise. With pooling disabled it degrades to plain make
-// and tracks nothing, restoring the reference allocation behaviour.
+// contents otherwise. A nil arena returns plain make and tracks nothing.
 func (a *Arena) get(n int, zero bool) []float64 {
-	if poolOff.Load() {
+	if a == nil {
 		poolMisses.Add(1)
 		return make([]float64, n)
 	}
@@ -185,8 +172,8 @@ func (a *Arena) TensorLike(x *Tensor) *Tensor { return a.tensor(x.shape, true) }
 
 // WriteOnce returns an arena tensor of the given shape whose contents are
 // unspecified: a recycled buffer keeps whatever its last user wrote. The
-// caller must overwrite every element before reading any. With pooling
-// disabled it is exactly New. Same lifetime contract as Tensor.
+// caller must overwrite every element before reading any. On a nil arena
+// it is exactly New. Same lifetime contract as Tensor.
 func (a *Arena) WriteOnce(shape ...int) *Tensor { return a.tensor(shape, false) }
 
 // WriteOnceLike is WriteOnce with x's shape, without the shape copy an
@@ -194,11 +181,10 @@ func (a *Arena) WriteOnce(shape ...int) *Tensor { return a.tensor(shape, false) 
 func (a *Arena) WriteOnceLike(x *Tensor) *Tensor { return a.tensor(x.shape, false) }
 
 // tensor hands out an arena tensor, zero-filled when zero is set. A
-// write-once handout is filled with NaN instead while SetPoisonWriteOnce
-// is on.
+// poisoned arena fills a write-once handout with NaN instead.
 func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 	n := checkShape(shape)
-	if poolOff.Load() {
+	if a == nil {
 		poolMisses.Add(1)
 		return New(shape...)
 	}
@@ -211,7 +197,7 @@ func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 		t = &Tensor{shape: append([]int(nil), shape...)}
 	}
 	t.data = a.get(n, zero)
-	if !zero && poisonWriteOnce.Load() {
+	if !zero && a.poison {
 		nan := math.NaN()
 		for i := range t.data {
 			t.data[i] = nan
@@ -223,7 +209,12 @@ func (a *Arena) tensor(shape []int, zero bool) *Tensor {
 
 // Mark records the arena's current point in its handout sequence for a
 // later RecycleSince. A mark is valid until the next Reset.
-func (a *Arena) Mark() ArenaMark { return ArenaMark{len(a.live), len(a.liveT)} }
+func (a *Arena) Mark() ArenaMark {
+	if a == nil {
+		return ArenaMark{}
+	}
+	return ArenaMark{len(a.live), len(a.liveT)}
+}
 
 // RecycleSince returns every buffer and tensor handed out since m to the
 // freelists, except the storage backing keep (nil keeps nothing). Storage
@@ -231,9 +222,11 @@ func (a *Arena) Mark() ArenaMark { return ArenaMark{len(a.live), len(a.liveT)} }
 // view sharing a handout's storage to its end (a Reshape, not a SliceRows
 // of leading rows); storage handed out before m — the caller's input,
 // say — is never touched. Recycled tensors are detached from their
-// storage as Reset detaches them. With pooling disabled nothing is
-// tracked and it does nothing.
+// storage as Reset detaches them. On a nil arena it does nothing.
 func (a *Arena) RecycleSince(m ArenaMark, keep *Tensor) {
+	if a == nil {
+		return
+	}
 	var end *float64
 	if keep != nil {
 		end = storageEnd(keep.data)
@@ -288,6 +281,9 @@ func (a *Arena) Reset() { a.RecycleSince(ArenaMark{}, nil) }
 // recycled tensor wrappers and the lists' capacity — so a network that
 // runs again after a release does not rebuild it.
 func (a *Arena) Release() {
+	if a == nil {
+		return
+	}
 	a.Reset()
 	for b, bufs := range a.free {
 		clear(bufs)
